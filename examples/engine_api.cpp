@@ -30,8 +30,8 @@ int main() {
   std::printf("graph: n=%u, m=%llu\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
 
-  // One Engine answers every query type; sketches are built lazily with
-  // this configuration (MinHash here, so every estimate carries the
+  // One Engine answers every query type; it sketches the graph and its
+  // degree-oriented DAG up front with this configuration (MinHash here, so every estimate carries the
   // Props.-IV.2/IV.3 exponential deviation bound).
   ProbGraphConfig config;
   config.kind = SketchKind::kKHash;
@@ -56,7 +56,7 @@ int main() {
                 pairs.bound->name);
   }
 
-  // --- Triangle count: the engine orients + sketches the DAG lazily. ---
+  // --- Triangle count: answered from the DAG sketches. ---
   const engine::QueryResult tc = e.run(engine::TriangleCount{});
   const engine::QueryResult tc_exact = e.run(engine::TriangleCount{.exact = true});
   std::printf("\ntriangle count: estimate %.0f vs exact %.0f (%.4fs vs %.4fs)\n",

@@ -1,117 +1,62 @@
 // The query engine: one loaded graph (+ sketches), many typed queries.
 //
-// An Engine owns a graph source — either an in-memory CsrGraph handed to
-// the constructor or an mmap'ed .pgs snapshot — and executes `Query`
-// requests against it (query.hpp). It resolves everything a query needs
-// exactly once:
+// An Engine owns a graph source and executes `Query` requests against it
+// (query.hpp). The source is one of two things, both fixed at
+// construction:
 //
-//   * sketch sets are built lazily and cached: an in-memory Engine can
-//     answer both neighborhood queries (sketches over G) and counting
-//     queries (sketches over the degree-oriented DAG, budget-referenced to
-//     G's CSR as in §V-A) from the same instance, paying each construction
-//     at most once;
-//   * a snapshot-backed Engine serves the file's prebuilt sketches
-//     zero-copy and never re-sketches. A v2 .pgs file can carry MULTIPLE
-//     substrates — sketch kinds × orientations — and every query is routed
-//     per the rules below; queries whose substrate the file does not carry
-//     fail with a descriptive std::runtime_error naming what it serves
-//     (triangle counting is the exception: without a DAG substrate it
-//     falls back to the Theorem-VII.1 full-graph estimator over the
-//     symmetric sketches);
-//   * the sketch-kind/estimator dispatch is hoisted per query via
-//     ProbGraph::visit_backend, so batched queries (PairEstimate,
-//     LinkPredict) score every pair through a monomorphic call chain.
+//   * an mmap'ed .pgs snapshot, whose prebuilt sketches are served
+//     zero-copy;
+//   * an in-memory CsrGraph plus the substrate set io::build_substrates
+//     returns for it — the same function and inputs `pgtool build` uses,
+//     so an in-memory Engine is an unsaved snapshot: DAG sketches are
+//     budget-referenced to G's CSR as in §V-A, and every answer is
+//     bit-identical to serving the saved file.
 //
-// Substrate routing (the `sketch` field of a Query, the protocol's `kind=`
-// clause): the query type fixes the orientation it needs — tc/4cc/kclique
-// run on DAG sketches, cc/cluster/pair/lp on symmetric ones. Within that
-// orientation:
+// Either way the Engine sees a list of substrates (sketch kind ×
+// orientation, primary first) plus at most one CSR per orientation, and
+// every query is routed over that list by one set of rules. The query type
+// fixes the orientation it needs — tc/4cc/kclique run on DAG sketches,
+// cc/cluster/pair/lp on symmetric ones. Within that orientation (the
+// `sketch` field of a Query, the protocol's `kind=` clause):
 //
 //   1. an explicit kind routes to exactly (kind, orientation) — carried or
 //      error;
-//   2. no kind defaults to the file's PRIMARY substrate's kind at the
-//      needed orientation;
+//   2. no kind defaults to the PRIMARY substrate's kind at the needed
+//      orientation;
 //   3. if the primary kind is not carried at that orientation but exactly
 //      ONE substrate of it exists, that one answers (the unambiguous
 //      fallback that keeps v1 single-substrate files working unchanged);
-//   4. otherwise the query fails, naming the carried substrates.
+//   4. otherwise the query fails with a std::runtime_error naming the
+//      carried substrates.
 //
-// In-memory engines build exactly one configured kind; an explicit kind
-// must match it (lazily building arbitrary kinds on demand would make the
-// cache an unbounded map — serve a multi-substrate snapshot instead).
+// Triangle counting is the exception to rule 4: without a DAG substrate it
+// falls back to the Theorem-VII.1 full-graph estimator over the symmetric
+// sketches. Exact queries need no sketches; when the source carries no DAG
+// CSR, the counting ones orient the symmetric graph per query.
+//
+// The sketch-kind/estimator dispatch is hoisted per query via
+// ProbGraph::visit_backend, so batched queries (PairEstimate, LinkPredict)
+// score every pair through a monomorphic call chain.
 //
 // This is the substrate of `pgtool serve`: map the snapshot once, run an
 // Engine over it, answer arbitrarily many queries with zero per-query
 // setup. The one-shot pgtool commands are thin parsers producing a Query
 // for the same Engine, so one-shot and served results are bit-identical.
 //
-// Thread safety (the contract the concurrent serving layer, src/net/,
-// relies on — every TCP session shares ONE Engine over one mapping).
+// Thread safety: an Engine is immutable after construction — no mutex, no
+// lazily filled member — so any number of threads may call run() and
+// run_batch() concurrently, each getting its own results, and it does not
+// matter which thread issues a call (the epoll reactor runs one session's
+// queries on different workers). Per-query instrumentation writes
+// relaxed atomics on per-thread-sharded obs:: instruments, which adds no
+// lock. Construction, moves and destruction are not thread-safe: create
+// the Engine before spawning sessions and destroy it after joining them.
+// A live server (engine/generation.hpp) swaps whole Engines, one per
+// sealed generation; sessions pin a generation for the duration of each
+// run() call and must not hold the returned references across queries.
 //
-// The MACHINE-CHECKED source of truth is the annotations on the members
-// and methods below (util/thread_annotations.hpp): cache_mu_ is the
-// capability, the GUARDED_BY fields are everything it protects, and the
-// EXCLUDES/REQUIRES on the accessors are the locking protocol. The CI
-// Clang leg compiles all of src/ with -Wthread-safety -Werror, and the
-// configure-time negative-compile tests (tests/negative_compile/) prove
-// the analysis actually fires — so this comment can explain WHY the
-// scheme is safe without being the only thing stopping an unguarded
-// access. Where prose and annotations disagree, the annotations win.
-//
-//   * concurrent run() calls from any number of threads are safe. The
-//     graph, the mapped snapshot, and every built ProbGraph are immutable
-//     after construction and only read; each call gets its own
-//     QueryResult.
-//   * the ONLY mutable state is the trio of lazily-built caches — exactly
-//     the three GUARDED_BY(*cache_mu_) members below, nothing else.
-//     Construction is serialized by that mutex: the first query needing a
-//     cache builds it while others wait, every later query takes one
-//     uncontended lock to fetch the (stable, unique_ptr-held) pointer and
-//     then runs lock-free. Snapshot-backed engines never build sketches,
-//     so their hot path takes no lock at all for sketch queries.
-//   * construction, moves, and destruction are NOT thread-safe — create
-//     the Engine before spawning sessions and destroy it after joining
-//     them, exactly what the net:: transports do.
-//   * the contract is thread-AGNOSTIC on the caller side: nothing here
-//     cares which OS thread issues a run() call. The thread-per-connection
-//     transport gives every session its own thread for its whole lifetime;
-//     the epoll reactor (net/reactor.hpp) multiplexes MANY sessions over a
-//     small fixed worker pool, so consecutive queries of one session may
-//     run on different workers and one worker interleaves queries of many
-//     sessions. Both are safe for the same reason concurrent run() is: the
-//     Engine keeps no per-thread or per-session state, and the reactor's
-//     run-queue handoff orders each session's queries (a session is owned
-//     by at most one worker at a time). run_batch() is run() called in a
-//     loop plus a per-batch hoist of immutable routing state — it adds no
-//     new mutable state and inherits the same guarantees.
-//   * instrumentation adds no locks to this picture. Every run() records
-//     into process-global obs:: instruments (counters and histograms,
-//     src/obs/instruments.hpp) whose writes are relaxed atomics on
-//     per-thread-sharded cache lines — concurrent run() calls never
-//     contend on them, and a concurrent metrics scrape (the `metrics`
-//     verb, GET /metrics, or the shutdown summary) only reads those
-//     atomics, so it is safe against any number of in-flight queries and
-//     never perturbs their results. The instrument registry's mutex is
-//     taken once per process (first run() resolves the instrument
-//     pointers), not per query.
-//
-// Generations (the live-update layer, engine/generation.hpp): a live
-// server holds MANY Engines over time, one per sealed snapshot
-// generation, and swaps between them RCU-style. The contract above
-// extends naturally BECAUSE an Engine is never mutated after its first
-// queries warm the lazy caches: a generation's Engine — including its
-// mutex-guarded dag_/sym_pg_/dag_pg_ caches — is private to that
-// generation's snapshot, so a cache built pre-swap can never describe a
-// post-swap graph. Staleness is structurally impossible: the swap
-// replaces the whole Engine, not any cached piece of one (pinned by
-// tests/test_live.cpp). Sessions must pin a generation (ReadPin) for the
-// duration of each run() call and must not hold the returned references
-// across queries; the writer retires an old generation — destroying its
-// Engine and unmapping its file — only after every pinned reader drains.
-//
-// The algorithms underneath parallelize with OpenMP as before; nested
-// parallel regions issued from distinct session threads get independent
-// teams.
+// The algorithms underneath parallelize with OpenMP; nested parallel
+// regions issued from distinct session threads get independent teams.
 #pragma once
 
 #include <memory>
@@ -124,7 +69,6 @@
 #include "engine/query.hpp"
 #include "graph/csr_graph.hpp"
 #include "io/snapshot.hpp"
-#include "util/sync.hpp"
 
 namespace probgraph::engine {
 
@@ -137,14 +81,20 @@ struct BatchItem {
   std::string error;                  ///< the exception text otherwise
   bool invalid_argument = false;      ///< std::invalid_argument (client bug)
                                       ///< vs anything else (engine/routing)
-  double wall_seconds = 0.0;          ///< full wall time incl. lazy builds
+  double wall_seconds = 0.0;          ///< full wall time of the run() call
 };
 
 class Engine {
  public:
-  /// Serve from an in-memory graph (edge list, generator, ...). `config`
-  /// parameterizes any sketches the queries require; they are built lazily
-  /// on first use. The graph is treated as symmetric (undirected).
+  /// Serve from an in-memory graph, treated as symmetric. The Engine
+  /// sketches it with io::build_substrates(g, kinds, symmetric,
+  /// degree_oriented, config) — exactly what `pgtool build` would save —
+  /// and routes queries over that set. Empty `kinds` builds no sketches:
+  /// only exact and stats queries are answerable.
+  Engine(CsrGraph g, std::span<const SketchKind> kinds, bool symmetric,
+         bool degree_oriented, ProbGraphConfig config);
+
+  /// Both orientations of `config.kind` (the form for tests and examples).
   explicit Engine(CsrGraph g, ProbGraphConfig config = {});
 
   /// Serve zero-copy from a .pgs snapshot: the file is mmap'ed and
@@ -159,19 +109,19 @@ class Engine {
   /// (out-of-range vertices, k < 3, empty pair batch) and
   /// std::runtime_error when the source cannot answer the query (e.g. a
   /// counting estimate over a snapshot of the symmetric graph).
-  [[nodiscard]] QueryResult run(const Query& query);
+  [[nodiscard]] QueryResult run(const Query& query) const;
 
   /// Execute a pipelined batch in request order, capturing each query's
   /// outcome instead of throwing (one bad query must not eat the replies
   /// behind it in the pipeline). Results are BIT-IDENTICAL to calling
   /// run() per query — same values, same error text, same instrumentation
-  /// — the batch only hoists immutable routing work: a maximal run of
-  /// consecutive non-exact PairEstimate/LinkPredict queries naming the
-  /// same substrate (the protocol's `kind=` clause) resolves its
-  /// symmetric ProbGraph once and feeds every query in the run through
-  /// the already-batched est_intersection_batch estimator routing with
-  /// that resolution in hand. Thread-safe like run().
-  [[nodiscard]] std::vector<BatchItem> run_batch(std::span<const Query> queries);
+  /// — the batch only hoists routing: a maximal run of consecutive
+  /// non-exact PairEstimate/LinkPredict queries naming the same substrate
+  /// (the protocol's `kind=` clause) resolves its symmetric ProbGraph once
+  /// and feeds every query in the run through the already-batched
+  /// est_intersection_batch estimator routing with that resolution in
+  /// hand.
+  [[nodiscard]] std::vector<BatchItem> run_batch(std::span<const Query> queries) const;
 
   /// The source graph: the symmetric graph for in-memory engines and
   /// unoriented snapshots, the degree-oriented DAG for `--orient` ones.
@@ -191,81 +141,62 @@ class Engine {
   /// True when the source carries only the degree-oriented DAG (an
   /// `--orient` snapshot with no symmetric substrate): neighborhood
   /// queries are unanswerable.
-  [[nodiscard]] bool source_oriented() const noexcept {
-    return snap_ && snap_->graph_for(/*degree_oriented=*/false) == nullptr;
-  }
+  [[nodiscard]] bool source_oriented() const noexcept { return sym_ == nullptr; }
 
  private:
-  QueryResult exec(const TriangleCount& q);
-  QueryResult exec(const FourCliqueCount& q);
-  QueryResult exec(const KCliqueCount& q);
-  QueryResult exec(const ClusteringCoeff& q);
-  QueryResult exec(const Cluster& q);
+  explicit Engine(io::Snapshot snap);
+
+  QueryResult exec(const TriangleCount& q) const;
+  QueryResult exec(const FourCliqueCount& q) const;
+  QueryResult exec(const KCliqueCount& q) const;
+  QueryResult exec(const ClusteringCoeff& q) const;
+  QueryResult exec(const Cluster& q) const;
   // sym_hint: the pre-resolved symmetric substrate a batch run hoisted
-  // (must equal symmetric_pg(q.sketch)); nullptr resolves per query.
-  QueryResult exec(const PairEstimate& q, const ProbGraph* sym_hint = nullptr);
-  QueryResult exec(const LinkPredict& q, const ProbGraph* sym_hint = nullptr);
-  QueryResult exec(const GraphStats& q);
+  // (must equal route(q.sketch, false)); nullptr resolves per query.
+  QueryResult exec(const PairEstimate& q, const ProbGraph* sym_hint = nullptr) const;
+  QueryResult exec(const LinkPredict& q, const ProbGraph* sym_hint = nullptr) const;
+  QueryResult exec(const GraphStats& q) const;
 
   /// run() with an optional hoisted substrate for pair/lp queries; the
   /// public run() is run_with_hint(query, nullptr).
-  QueryResult run_with_hint(const Query& query, const ProbGraph* sym_hint);
+  QueryResult run_with_hint(const Query& query, const ProbGraph* sym_hint) const;
   /// One run_batch element: run_with_hint with the throws captured.
-  BatchItem run_one(const Query& query, const ProbGraph* sym_hint);
+  BatchItem run_one(const Query& query, const ProbGraph* sym_hint) const;
 
-  /// The symmetric graph; throws when the snapshot carries no symmetric
-  /// substrate.
-  const CsrGraph& symmetric_graph() const;
-  /// The degree-oriented DAG (the snapshot's DAG CSR when it carries one,
-  /// else lazily built from the symmetric graph and cached). Thread-safe.
-  const CsrGraph& dag() EXCLUDES(*cache_mu_);
-  /// dag() with cache_mu_ already held (oriented_pg() composes the two
-  /// lazy builds under one lock).
-  const CsrGraph& dag_locked() REQUIRES(*cache_mu_);
-  /// Snapshot substrate lookup per the routing rules above (explicit kind,
-  /// else primary kind, else sole-of-orientation). nullptr when the file
-  /// does not carry a match. Requires snap_.
-  const ProbGraph* try_snapshot_pg(std::optional<SketchKind> kind, bool oriented) const;
-  /// True when the snapshot carries at least one substrate of the given
-  /// orientation. Requires snap_.
-  bool snapshot_carries_orientation(bool oriented) const;
+  /// Routing rules 1-3 above; nullptr where rule 4 applies.
+  const ProbGraph* try_route(std::optional<SketchKind> kind, bool oriented) const noexcept;
+  /// try_route, or the rule-4 error.
+  const ProbGraph& route(std::optional<SketchKind> kind, bool oriented) const;
+  /// True when at least one substrate of the given orientation is carried.
+  bool carries_orientation(bool oriented) const noexcept;
+  /// "BF/sym, BF/dag, ..." — what the source serves, for error messages.
+  std::string describe_carried() const;
   /// The routing-failure error: names the missing substrate and what the
-  /// file actually serves.
+  /// source actually serves.
   [[noreturn]] void fail_routing(std::optional<SketchKind> kind, bool oriented) const;
-  /// Sketches over the symmetric graph, routed by `kind` (snapshot-served
-  /// or lazily built). Thread-safe.
-  const ProbGraph& symmetric_pg(std::optional<SketchKind> kind)
-      EXCLUDES(*cache_mu_);
-  /// Sketches over the DAG, budget-referenced to the symmetric CSR,
-  /// routed by `kind` (snapshot-served or lazily built). Throws when the
-  /// snapshot carries no matching DAG substrate. Thread-safe.
-  const ProbGraph& oriented_pg(std::optional<SketchKind> kind)
-      EXCLUDES(*cache_mu_);
-  /// In-memory engines build exactly one kind; reject a mismatched route.
-  void check_in_memory_kind(std::optional<SketchKind> kind) const;
+
+  /// The symmetric graph; throws when the source carries only the DAG.
+  const CsrGraph& symmetric_graph() const;
+  /// The degree-oriented DAG: the source's DAG CSR when it carries one,
+  /// else the symmetric graph oriented into `local`.
+  const CsrGraph& dag(std::optional<CsrGraph>& local) const;
 
   void check_vertex(VertexId v) const;
   void fill_sketch_meta(QueryResult& r, const ProbGraph& pg, bool degree_oriented) const;
 
-  // unique_ptr members keep the graphs at stable addresses (the lazily
-  // built ProbGraphs hold pointers to them) while the Engine stays movable.
+  // The source — a snapshot, or an owned graph plus the substrates built
+  // over it. Its graphs and sketches live on the heap, so the pointers
+  // below survive moves of the Engine.
   std::optional<io::Snapshot> snap_;
-  std::unique_ptr<const CsrGraph> owned_base_;
-  const CsrGraph* base_ = nullptr;
-  ProbGraphConfig config_;
+  std::unique_ptr<const CsrGraph> owned_graph_;
+  io::SubstrateSet owned_set_;
 
-  // Serializes the lazy builds below across concurrent run() calls. Held
-  // through a pointer so the Engine stays movable (single-threaded moves
-  // only, per the contract above). The GUARDED_BY annotations are the
-  // machine-checked form of the lazy-cache contract: Clang's
-  // -Wthread-safety leg rejects any new access outside the lock.
-  std::unique_ptr<util::Mutex> cache_mu_ = std::make_unique<util::Mutex>();
-  std::unique_ptr<const CsrGraph> dag_    // in-memory engines, lazily oriented
-      GUARDED_BY(*cache_mu_);
-  std::optional<ProbGraph> sym_pg_        // lazily built (in-memory engines only)
-      GUARDED_BY(*cache_mu_);
-  std::optional<ProbGraph> dag_pg_        // lazily built (in-memory engines only)
-      GUARDED_BY(*cache_mu_);
+  // The routing view over that source.
+  const CsrGraph* base_ = nullptr;  // graph()
+  const CsrGraph* sym_ = nullptr;   // null when only the DAG is carried
+  const CsrGraph* dag_ = nullptr;   // null when no DAG CSR is carried
+  SketchKind primary_ = SketchKind::kBloomFilter;
+  std::vector<io::SnapshotSubstrate> subs_;  // primary first
 };
 
 }  // namespace probgraph::engine

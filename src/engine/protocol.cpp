@@ -544,8 +544,8 @@ void Session::flush_batch() {
     const QueryResult& r = *item.result;
     std::string reply = format_reply(r);
     if (batch_[k].report_time) {
-      // r.elapsed_seconds (execution excluding lazy builds) is the number
-      // the reply documents; the slow-query check below uses the full
+      // r.elapsed_seconds (the algorithm alone) is the number the reply
+      // documents; the slow-query check below uses the full
       // wall time, which is what the session actually waited.
       reply += "\telapsed_us=";
       reply += std::to_string(

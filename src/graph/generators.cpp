@@ -6,7 +6,6 @@
 
 #include "graph/builder.hpp"
 #include "util/rng.hpp"
-#include "util/threading.hpp"
 
 namespace probgraph::gen {
 
@@ -20,31 +19,28 @@ CsrGraph kronecker(unsigned scale, double edge_factor, std::uint64_t seed,
   const VertexId n = VertexId{1} << scale;
   const auto target = static_cast<EdgeId>(edge_factor * static_cast<double>(n));
 
+  // One sequential stream, so the graph is a function of (scale,
+  // edge_factor, seed, partition) alone and never of the thread count.
   std::vector<Edge> edges(target);
-#pragma omp parallel
-  {
-    // Each thread owns a disjoint slice with its own seeded stream.
-    Xoshiro256 rng(seed ^ (0x9e3779b97f4a7c15ULL * (util::thread_id() + 1)));
-#pragma omp for schedule(static)
-    for (std::int64_t e = 0; e < static_cast<std::int64_t>(target); ++e) {
-      VertexId u = 0, v = 0;
-      for (unsigned level = 0; level < scale; ++level) {
-        const double r = rng.uniform();
-        u <<= 1;
-        v <<= 1;
-        if (r < a) {
-          // top-left quadrant: no bits set
-        } else if (r < a + b) {
-          v |= 1;
-        } else if (r < a + b + c) {
-          u |= 1;
-        } else {
-          u |= 1;
-          v |= 1;
-        }
+  Xoshiro256 rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  for (Edge& edge : edges) {
+    VertexId u = 0, v = 0;
+    for (unsigned level = 0; level < scale; ++level) {
+      const double r = rng.uniform();
+      u <<= 1;
+      v <<= 1;
+      if (r < a) {
+        // top-left quadrant: no bits set
+      } else if (r < a + b) {
+        v |= 1;
+      } else if (r < a + b + c) {
+        u |= 1;
+      } else {
+        u |= 1;
+        v |= 1;
       }
-      edges[e] = {u, v};
     }
+    edge = {u, v};
   }
   return GraphBuilder::from_edges(std::move(edges), n);
 }

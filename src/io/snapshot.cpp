@@ -197,20 +197,21 @@ std::string describe_substrates(std::span<const SubstrateInfo> subs) {
   return out;
 }
 
-const ProbGraph* Snapshot::find_substrate(SketchKind kind,
-                                          bool degree_oriented) const noexcept {
-  for (const Substrate& s : subs_) {
-    if (s.kind == kind && s.degree_oriented == degree_oriented) return s.pg.get();
+const ProbGraph* find_substrate(std::span<const SnapshotSubstrate> subs, SketchKind kind,
+                                bool degree_oriented) noexcept {
+  for (const SnapshotSubstrate& s : subs) {
+    if (s.pg->kind() == kind && s.degree_oriented == degree_oriented) return s.pg;
   }
   return nullptr;
 }
 
-const ProbGraph* Snapshot::sole_substrate(bool degree_oriented) const noexcept {
+const ProbGraph* sole_substrate(std::span<const SnapshotSubstrate> subs,
+                                bool degree_oriented) noexcept {
   const ProbGraph* found = nullptr;
-  for (const Substrate& s : subs_) {
+  for (const SnapshotSubstrate& s : subs) {
     if (s.degree_oriented != degree_oriented) continue;
     if (found != nullptr) return nullptr;  // ambiguous
-    found = s.pg.get();
+    found = s.pg;
   }
   return found;
 }
@@ -665,16 +666,13 @@ Snapshot load_snapshot(const std::string& path) {
     parts.kmv_arena = util::ArenaRef<double>(kmv, file);
     parts.sketch_sizes = util::ArenaRef<std::uint32_t>(sizes, file);
     parts.construction_seconds = e.construction_seconds;
-    Snapshot::Substrate sub;
-    sub.kind = static_cast<SketchKind>(e.kind);
-    sub.degree_oriented = oriented;
-    sub.graph = g;
     try {
-      sub.pg = std::make_unique<const ProbGraph>(ProbGraph::from_parts(*g, std::move(parts)));
+      snap.pgs_.push_back(
+          std::make_unique<const ProbGraph>(ProbGraph::from_parts(*g, std::move(parts))));
     } catch (const std::invalid_argument& ex) {
       fail(path, ex.what());
     }
-    snap.subs_.push_back(std::move(sub));
+    snap.subs_.push_back({snap.pgs_.back().get(), oriented});
     snap.info_.substrates.push_back({static_cast<SketchKind>(e.kind), oriented,
                                      e.construction_seconds});
   }

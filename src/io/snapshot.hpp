@@ -122,6 +122,16 @@ void save_snapshot(const std::string& path, const ProbGraph& pg, SnapshotMeta me
 /// and std::runtime_error on I/O failure.
 void save_snapshot(const std::string& path, std::span<const SnapshotSubstrate> substrates);
 
+/// The substrate of exactly (kind, orientation) in `subs`, or nullptr.
+[[nodiscard]] const ProbGraph* find_substrate(std::span<const SnapshotSubstrate> subs,
+                                              SketchKind kind, bool degree_oriented) noexcept;
+
+/// The single substrate of `degree_oriented` orientation in `subs`, or
+/// nullptr when there are zero or several — the unambiguous-fallback rule
+/// of the Engine's default routing.
+[[nodiscard]] const ProbGraph* sole_substrate(std::span<const SnapshotSubstrate> subs,
+                                              bool degree_oriented) noexcept;
+
 /// A built substrate portfolio: the sketches `build_substrates` produced
 /// plus the SnapshotSubstrate views over them, ready for save_snapshot.
 /// Movable (the DAG lives behind a stable heap pointer); the input graph
@@ -150,21 +160,29 @@ class Snapshot {
  public:
   /// The primary substrate's graph / sketches (entry 0 — for a v1 file,
   /// the only substrate).
-  [[nodiscard]] const CsrGraph& graph() const noexcept { return *subs_.front().graph; }
+  [[nodiscard]] const CsrGraph& graph() const noexcept { return subs_.front().pg->graph(); }
   [[nodiscard]] const ProbGraph& prob_graph() const noexcept { return *subs_.front().pg; }
   [[nodiscard]] const SnapshotInfo& info() const noexcept { return info_; }
 
   [[nodiscard]] std::size_t num_substrates() const noexcept { return subs_.size(); }
 
+  /// Every carried substrate, primary first.
+  [[nodiscard]] std::span<const SnapshotSubstrate> substrates() const noexcept {
+    return subs_;
+  }
+
   /// The substrate of exactly (kind, orientation), or nullptr when the
   /// file does not carry it.
   [[nodiscard]] const ProbGraph* find_substrate(SketchKind kind,
-                                                bool degree_oriented) const noexcept;
+                                                bool degree_oriented) const noexcept {
+    return io::find_substrate(subs_, kind, degree_oriented);
+  }
 
   /// The file's single substrate of `degree_oriented` orientation, or
-  /// nullptr when it carries zero or several — the unambiguous-fallback
-  /// rule of the Engine's default routing.
-  [[nodiscard]] const ProbGraph* sole_substrate(bool degree_oriented) const noexcept;
+  /// nullptr when it carries zero or several.
+  [[nodiscard]] const ProbGraph* sole_substrate(bool degree_oriented) const noexcept {
+    return io::sole_substrate(subs_, degree_oriented);
+  }
 
   /// The CSR of the given orientation (shared by every substrate of that
   /// orientation), or nullptr when no carried substrate covers it.
@@ -176,22 +194,16 @@ class Snapshot {
   friend Snapshot load_snapshot(const std::string& path);
   Snapshot() = default;
 
-  struct Substrate {
-    SketchKind kind = SketchKind::kBloomFilter;
-    bool degree_oriented = false;
-    const CsrGraph* graph = nullptr;  // sym_graph_ or dag_graph_
-    // unique_ptr members give each ProbGraph a stable address while
-    // keeping Snapshot movable.
-    std::unique_ptr<const ProbGraph> pg;
-  };
-
   SnapshotInfo info_{};
   std::shared_ptr<const void> file_;  // the MappedFile keepalive
   // At most one CSR per orientation; unique_ptr for address stability (the
   // ProbGraphs hold pointers to them).
   std::unique_ptr<const CsrGraph> sym_graph_;
   std::unique_ptr<const CsrGraph> dag_graph_;
-  std::vector<Substrate> subs_;  // primary first
+  // unique_ptr members give each ProbGraph a stable address while keeping
+  // Snapshot movable.
+  std::vector<std::unique_ptr<const ProbGraph>> pgs_;
+  std::vector<SnapshotSubstrate> subs_;  // views into pgs_, primary first
 };
 
 /// Map `path` and validate magic, version, endianness, size, and payload

@@ -471,13 +471,149 @@ TEST(EngineMultiSubstrate, ExactQueriesUseTheMappedDagCsr) {
 }
 
 TEST(EngineMultiSubstrate, InMemoryEngineRejectsMismatchedKind) {
-  engine::Engine e(golden_graph());  // configured for BF
+  // An in-memory engine is routed like the snapshot of its substrate set,
+  // so an uncarried kind fails with the same routing error.
+  engine::Engine e(golden_graph());  // BF/sym + BF/dag
   EXPECT_NO_THROW((void)e.run(engine::TriangleCount{.sketch = SketchKind::kBloomFilter}));
   try {
     (void)e.run(engine::TriangleCount{.sketch = SketchKind::kKmv});
-    FAIL() << "expected a kind mismatch error";
+    FAIL() << "expected a routing error";
   } catch (const std::runtime_error& err) {
-    EXPECT_NE(std::string(err.what()).find("configured for BF"), std::string::npos)
+    EXPECT_STREQ(err.what(),
+                 "snapshot carries no KMV/dag substrate (it serves BF/sym, BF/dag); "
+                 "rebuild with --kinds including KMV, or route to a carried kind "
+                 "with kind=");
+  }
+}
+
+/// Every Query variant, exact and sketch, routed by default and by kind=
+/// (1h is carried by none of the sets below, so those lines must fail).
+constexpr const char* kEveryVariant[] = {
+    "tc", "tc exact", "tc kind=kmv", "tc kind=1h",
+    "4cc", "4cc exact", "4cc kind=kmv", "4cc kind=1h",
+    "kclique 4", "kclique 4 exact", "kclique 4 kind=1h",
+    "cc", "cc exact", "cc kind=kmv", "cc kind=1h",
+    "cluster jaccard 0.1", "cluster jaccard 0.1 exact", "cluster overlap 0.2 kind=kmv",
+    "pair intersection 0 1 2 3 4 5", "pair jaccard 0 1 kind=kmv", "pair overlap 6 7 exact",
+    "pair total 8 9 kind=1h",
+    "lp 5 common", "lp 5 adamic exact", "lp 5 jaccard kind=kmv", "lp 5 common kind=1h",
+    "stats",
+};
+
+/// Run one protocol line; the reply's numbers, or the error text.
+struct Outcome {
+  std::optional<engine::QueryResult> result;
+  std::string error;
+};
+
+Outcome run_line(const engine::Engine& e, const char* line) {
+  const auto parsed = engine::parse_request(line);
+  EXPECT_TRUE(parsed.query.has_value()) << line << ": " << parsed.error;
+  try {
+    return {e.run(*parsed.query), ""};
+  } catch (const std::exception& err) {
+    return {std::nullopt, err.what()};
+  }
+}
+
+/// Bit-identical answers: every value and all sketch and bound metadata,
+/// but not timings or whether the bytes are mapped.
+void expect_same_answer(const Outcome& mem, const Outcome& snap, const char* line) {
+  SCOPED_TRACE(line);
+  ASSERT_EQ(mem.result.has_value(), snap.result.has_value())
+      << "in-memory: " << mem.error << " | snapshot: " << snap.error;
+  EXPECT_EQ(mem.error, snap.error);
+  if (!mem.result) return;
+  const engine::QueryResult& a = *mem.result;
+  const engine::QueryResult& b = *snap.result;
+  EXPECT_STREQ(a.name, b.name);
+  EXPECT_EQ(a.exact, b.exact);
+  EXPECT_EQ(a.value, b.value);
+  ASSERT_EQ(a.pairs.size(), b.pairs.size());
+  for (std::size_t i = 0; i < a.pairs.size(); ++i) {
+    EXPECT_EQ(a.pairs[i].u, b.pairs[i].u);
+    EXPECT_EQ(a.pairs[i].v, b.pairs[i].v);
+    EXPECT_EQ(a.pairs[i].value, b.pairs[i].value);
+  }
+  ASSERT_EQ(a.cluster.has_value(), b.cluster.has_value());
+  if (a.cluster) {
+    EXPECT_EQ(a.cluster->num_clusters, b.cluster->num_clusters);
+    EXPECT_EQ(a.cluster->kept_edges, b.cluster->kept_edges);
+  }
+  ASSERT_EQ(a.stats.has_value(), b.stats.has_value());
+  if (a.stats) {
+    EXPECT_EQ(a.stats->num_vertices, b.stats->num_vertices);
+    EXPECT_EQ(a.stats->num_edges, b.stats->num_edges);
+    EXPECT_EQ(a.stats->num_directed_edges, b.stats->num_directed_edges);
+    EXPECT_EQ(a.stats->max_degree, b.stats->max_degree);
+    EXPECT_EQ(a.stats->degree_moment2, b.stats->degree_moment2);
+    EXPECT_EQ(a.stats->degree_moment3, b.stats->degree_moment3);
+  }
+  ASSERT_EQ(a.bound.has_value(), b.bound.has_value());
+  if (a.bound) {
+    EXPECT_STREQ(a.bound->name, b.bound->name);
+    EXPECT_EQ(a.bound->t, b.bound->t);
+    EXPECT_EQ(a.bound->probability, b.bound->probability);
+  }
+  EXPECT_EQ(a.sketch.used, b.sketch.used);
+  EXPECT_EQ(a.sketch.kind, b.sketch.kind);
+  EXPECT_EQ(a.sketch.degree_oriented, b.sketch.degree_oriented);
+  EXPECT_EQ(a.sketch.bf_bits, b.sketch.bf_bits);
+  EXPECT_EQ(a.sketch.minhash_k, b.sketch.minhash_k);
+  EXPECT_EQ(a.sketch.relative_memory, b.sketch.relative_memory);
+  EXPECT_EQ(engine::format_reply(a), engine::format_reply(b));
+}
+
+struct SubstrateSpec {
+  const char* tag;
+  std::vector<SketchKind> kinds;
+  bool symmetric;
+  bool degree_oriented;
+};
+
+std::ostream& operator<<(std::ostream& os, const SubstrateSpec& spec) { return os << spec.tag; }
+
+class EngineSources : public ::testing::TestWithParam<SubstrateSpec> {};
+
+TEST_P(EngineSources, InMemoryEngineAnswersAsItsSavedSubstrateSet) {
+  const SubstrateSpec& spec = GetParam();
+  const CsrGraph g = golden_graph();
+  const io::SubstrateSet set =
+      io::build_substrates(g, spec.kinds, spec.symmetric, spec.degree_oriented);
+  TempFile file(std::string("engine_sources_") + spec.tag);
+  io::save_snapshot(file.path, set.substrates);
+
+  const engine::Engine snap = engine::Engine::from_snapshot(file.path);
+  const engine::Engine mem(golden_graph(), spec.kinds, spec.symmetric, spec.degree_oriented,
+                           ProbGraphConfig{});
+  for (const char* line : kEveryVariant) {
+    expect_same_answer(run_line(mem, line), run_line(snap, line), line);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GoldenGraph, EngineSources,
+    ::testing::Values(
+        SubstrateSpec{"both", {SketchKind::kBloomFilter, SketchKind::kKmv}, true, true},
+        // No DAG substrate: tc falls back to the full-mode estimator, the
+        // other counting queries fail, and exact counting orients per query.
+        SubstrateSpec{"sym", {SketchKind::kBloomFilter}, true, false},
+        SubstrateSpec{"kh_primary", {SketchKind::kKHash, SketchKind::kKmv}, true, true}),
+    [](const auto& info) { return std::string(info.param.tag); });
+
+TEST(EngineInMemory, NoKindsBuildsNoSketches) {
+  // What pgtool's --exact and stats one-shots construct.
+  const CsrGraph g = golden_graph();
+  const engine::Engine e(golden_graph(), {}, /*symmetric=*/true, /*degree_oriented=*/true,
+                         ProbGraphConfig{});
+  EXPECT_EQ(e.run(engine::FourCliqueCount{.exact = true}).value,
+            static_cast<double>(algo::four_clique_count_exact(g)));
+  EXPECT_EQ(e.run(engine::GraphStats{}).stats->num_edges, g.num_edges());
+  try {
+    (void)e.run(engine::TriangleCount{});
+    FAIL() << "expected a routing error";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("carries no sketches"), std::string::npos)
         << err.what();
   }
 }

@@ -1,9 +1,11 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include "algorithms/connected_components.hpp"
+#include "util/threading.hpp"
 
 namespace probgraph::gen {
 namespace {
@@ -64,6 +66,19 @@ TEST(Kronecker, DeterministicUnderSeed) {
   for (VertexId v = 0; v < a.num_vertices(); ++v) {
     ASSERT_EQ(a.degree(v), b.degree(v));
   }
+}
+
+TEST(Kronecker, IdenticalAtAnyThreadCount) {
+  // The same seed must give the same CSR however many OpenMP threads run.
+  const auto generate = [](int threads) {
+    const util::ThreadScope scope(threads);
+    return kronecker(10, 8.0, 42);
+  };
+  const CsrGraph one = generate(1);
+  const CsrGraph four = generate(4);
+  ASSERT_EQ(one.num_vertices(), four.num_vertices());
+  EXPECT_TRUE(std::ranges::equal(one.offsets(), four.offsets()));
+  EXPECT_TRUE(std::ranges::equal(one.adjacency(), four.adjacency()));
 }
 
 TEST(Kronecker, SkewedPartitionProducesSkewedDegrees) {

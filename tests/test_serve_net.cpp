@@ -213,10 +213,11 @@ TEST_P(ServeTransport, ConcurrentSessionsHitDifferentSubstratesOfOneMapping) {
 }
 
 TEST_P(ServeTransport, LazyCacheBuildIsRaceFreeAcrossSessions) {
-  // An IN-MEMORY engine shared by concurrent sessions: the first tc/4cc
-  // queries race to build the DAG + oriented sketches, cc races to build
-  // the symmetric sketches — exactly the paths Engine's cache mutex
-  // guards (a snapshot engine never builds, so it cannot cover them).
+  // An IN-MEMORY engine shared by concurrent sessions. It builds its DAG
+  // and both sketch sets at construction, so the racing tc/4cc/cc queries
+  // only read; every session must see the same answers (and TSan, no
+  // race) over the in-memory source, as the snapshot tests do over a
+  // mapping.
   engine::Engine eng(io::read_edge_list(data_path("golden.el")));
   net::ServeOptions opts;
   opts.engine = &eng;

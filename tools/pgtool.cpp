@@ -705,6 +705,9 @@ void print_graph_line(const CsrGraph& g) {
 
 /// Load the command's input into an Engine, printing the banner lines the
 /// serving commands have always printed (snapshot facts, then the graph).
+/// An in-memory graph is sketched only where the command's query reads:
+/// the DAG for the counting commands, the symmetric graph for the
+/// neighborhood ones, nothing for --exact and stats.
 engine::Engine make_engine(const Args& a) {
   if (!a.snapshot.empty()) {
     util::Timer load_timer;
@@ -720,7 +723,11 @@ engine::Engine make_engine(const Args& a) {
   }
   CsrGraph g = load_graph(a.input);
   print_graph_line(g);
-  return engine::Engine(std::move(g), a.pg);
+  const bool counting = a.command == "tc" || a.command == "4cc" || a.command == "kclique";
+  std::vector<SketchKind> kinds;
+  if (!a.exact && a.command != "stats") kinds.push_back(a.pg.kind);
+  return engine::Engine(std::move(g), kinds, /*symmetric=*/!counting,
+                        /*degree_oriented=*/counting, a.pg);
 }
 
 /// The bound line shared by the commands that surface one.
