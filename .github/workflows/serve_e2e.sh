@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Networked end-to-end check for the concurrent serving layer, shared by
-# the Debug/Release, ASan+UBSan, and TSan CI jobs. Four phases:
+# the Debug/Release, ASan+UBSan, and TSan CI jobs. Five phases:
 #
 # Phase 1 — single-substrate (the v1 golden snapshot):
 #   1. start `pgtool serve --listen` on the golden snapshot (ephemeral
@@ -36,6 +36,10 @@
 # expectations AND against the thread-per-connection outputs captured in
 # phases 1–3 — the two transports must be observationally identical down
 # to the last byte, including the live update/seal/epoch-swap path.
+#
+# Phase 5 — a vanished reader (the stdin REPL piped into `head -1`): the
+# REPL's next write fails, and the session must end quietly — exit status
+# 0 and the "session over" line — instead of dying of SIGPIPE.
 #
 # Phase 1 also exercises the observability surface: the server runs with
 # --metrics-port, and WHILE the 4 clients are in flight the script scrapes
@@ -305,5 +309,24 @@ echo "epoll transport: post-swap transcripts byte-identical to threads + cold"
 kill -TERM "$EPOLL_LIVE_PID"
 wait "$EPOLL_LIVE_PID"
 echo "epoll live server stopped gracefully"
+
+# --- Phase 5: the stdin REPL outlives the reader of its stdout. ---
+
+# 20k stats replies (1 MB) overflow any pipe buffer, so a write is
+# still pending when `head -1` exits.
+awk 'BEGIN { for (i = 0; i < 20000; ++i) print "stats" }' > "$WORK/stats_20k.txt"
+set +e
+"$PGTOOL" serve tests/data/golden.pgs --threads 1 < "$WORK/stats_20k.txt" \
+  2> "$WORK/repl_stderr.txt" | head -n 1 > "$WORK/repl_head.txt"
+statuses=("${PIPESTATUS[@]}")
+set -e
+if [ "${statuses[0]}" != 0 ]; then
+  echo "stdin REPL exited ${statuses[0]} when its reader went away" >&2
+  cat "$WORK/repl_stderr.txt" >&2
+  exit 1
+fi
+grep -q $'^ok\tstats\tn=32\t' "$WORK/repl_head.txt"
+grep -q '^pgtool serve: session over, ' "$WORK/repl_stderr.txt"
+echo "stdin REPL ended quietly (exit 0, session over) after its reader left"
 
 rm -rf "$WORK"

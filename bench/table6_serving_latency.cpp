@@ -12,9 +12,9 @@
 //     lower bound);
 //   * warm session   — one Engine, many queries (the serve mode), split by
 //     query type;
-//   * protocol loop  — full serve_session round trips (parse + execute +
-//     format) driven through in-memory streams, i.e. what a scripted
-//     `pgtool serve` session measures minus the pipe itself;
+//   * protocol loop  — full round trips through the blocking session
+//     driver (parse + execute + format), one request per read, i.e. what
+//     an interactive `pgtool serve` session measures minus the pipe itself;
 //   * concurrent sessions — 1/2/4 ping-pong TCP clients against ONE
 //     threads-transport server sharing the same mapping (the
 //     `pgtool serve --listen` mode), measuring the per-query round trip
@@ -44,7 +44,6 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,7 +54,6 @@
 #include "engine/query.hpp"
 #include "graph/generators.hpp"
 #include "io/snapshot.hpp"
-#include "net/line_reader.hpp"
 #include "net/line_scanner.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
@@ -313,14 +311,21 @@ int main(int argc, char** argv) {
   const double warm_tc =
       seconds_per_iter(kWarmScan, [&] { (void)warm.run(eng::TriangleCount{}); });
 
-  // Protocol round trips: parse one request line, execute, format a reply.
-  std::string script;
-  for (int i = 0; i < kWarmPair; ++i) script += "pair intersection 0 1\n";
-  script += "quit\n";
-  std::istringstream in(script);
-  std::ostringstream out;
+  // Protocol round trips, ping-pong: each read hands the session driver
+  // one request, so every request is its own feed + pump + write (parse,
+  // execute, format a reply), never a pipelined batch.
+  const std::unique_ptr<eng::SessionHost> host = eng::make_session_host(warm);
+  const std::string request = "pair intersection 0 1\n";
+  int sent = 0;
   pb::util::Timer proto_timer;
-  const std::size_t answered = eng::serve_session(warm, in, out);
+  const std::size_t answered = eng::run_blocking_session(
+      *host,
+      [&](char* buf, std::size_t) {
+        if (sent == kWarmPair) return 0L;
+        ++sent;
+        return static_cast<long>(request.copy(buf, request.size()));
+      },
+      [](std::string_view) { return true; });
   const double proto = proto_timer.seconds() / static_cast<double>(answered);
 
   json.add("cold_one_shot_pair", cold * 1e6);
@@ -420,11 +425,11 @@ int main(int argc, char** argv) {
         workers.emplace_back([&server, &completed] {
           try {
             pb::net::Socket sock = pb::net::connect_to("127.0.0.1", server->port());
-            pb::net::LineReader reader(sock, 1 << 16);
+            ReplyReader reader(sock);
             std::string reply;
             for (int i = 0; i < kPerClient; ++i) {
               if (!sock.write_all("pair intersection 0 1\n")) return;
-              if (reader.next(reply) != pb::net::LineReader::Status::kLine) return;
+              if (!reader.next(reply)) return;
               completed.fetch_add(1, std::memory_order_relaxed);
             }
             (void)sock.write_all("quit\n");

@@ -103,7 +103,7 @@ double percentile(std::vector<double>& samples, double p) {
 }
 
 /// Run `count` pair estimates through a pinned reader, sampling each
-/// query's latency. This is exactly the live serve_session hot path minus
+/// query's latency. This is exactly a live session's query hot path minus
 /// the protocol parse/format.
 std::vector<double> sample_pinned_queries(eng::LiveEngine& live,
                                           const eng::Query& query, int count) {

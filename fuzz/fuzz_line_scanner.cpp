@@ -1,5 +1,5 @@
-// Fuzz target: net::LineScanner — the newline framer every transport
-// (blocking LineReader, epoll reactor sessions) shares.
+// Fuzz target: net::LineScanner — the newline framer every session shares
+// (the blocking loop and the epoll reactor both feed engine::Session).
 //
 // Input encoding: byte 0 picks max_line_bytes (0, tiny, or moderate);
 // the rest is the byte stream, fed in chunks whose sizes are derived from

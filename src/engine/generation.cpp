@@ -164,8 +164,9 @@ class LiveSessionHost final : public SessionHost {
   std::vector<BatchItem> run_batch(std::span<const Query> queries) override {
     // ONE pin for the whole pipelined batch: every query in it sees the
     // same generation (a strictly stronger form of the whole-generation
-    // guarantee). The pin is bounded by the transports' per-turn fairness
-    // limit, so a pipelining hog delays a seal by at most one turn's work.
+    // guarantee). A batch never outgrows one pump() turn (the reactor's
+    // per-turn fairness limit, or one read chunk for the blocking loop),
+    // so a pipelining hog delays a seal by at most one turn's work.
     LiveEngine::Reader::Pin pin(reader_);
     return pin.engine().run_batch(queries);
   }
@@ -217,17 +218,6 @@ class LiveSessionHost final : public SessionHost {
 
 std::unique_ptr<SessionHost> make_session_host(LiveEngine& live) {
   return std::make_unique<LiveSessionHost>(live);
-}
-
-std::size_t serve_session(LiveEngine& live, SessionIo& io, const ServeOptions& opts) {
-  LiveSessionHost host(live);
-  return serve_session(host, io, opts);
-}
-
-std::size_t serve_session(LiveEngine& live, std::istream& in, std::ostream& out,
-                          const ServeOptions& opts) {
-  LiveSessionHost host(live);
-  return serve_session(host, in, out, opts);
 }
 
 }  // namespace probgraph::engine

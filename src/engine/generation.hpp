@@ -36,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <span>
@@ -214,13 +213,5 @@ class LiveEngine {
 /// the net:: transports create these through the same factory shape as
 /// the static make_session_host(Engine&) (protocol.hpp).
 [[nodiscard]] std::unique_ptr<SessionHost> make_session_host(LiveEngine& live);
-
-/// Serve one session against a live engine: queries pin a generation per
-/// request (lock-free), update/epoch verbs go to the staging/seal API.
-/// Same loop, framing, and metrics as the static overloads (protocol.hpp).
-std::size_t serve_session(LiveEngine& live, SessionIo& io,
-                          const ServeOptions& opts = {});
-std::size_t serve_session(LiveEngine& live, std::istream& in, std::ostream& out,
-                          const ServeOptions& opts = {});
 
 }  // namespace probgraph::engine

@@ -77,7 +77,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -133,34 +133,6 @@ struct ParsedRequest {
 /// The "ok\thelp\t..." grammar summary line.
 [[nodiscard]] std::string help_reply();
 
-/// Transport abstraction for a serve session. One implementation per
-/// transport — stdin/stdout streams (the REPL), a TCP connection
-/// (src/net/server.cpp) — so every transport runs the SAME session loop
-/// with the same malformed-frame behavior: err line + continue, never a
-/// crash or a silent drop.
-class SessionIo {
- public:
-  enum class Read {
-    kLine,      ///< `line` holds one complete request line (no newline)
-    kEof,       ///< no more requests; end the session
-    kOverlong,  ///< a frame exceeded the transport's line limit and was
-                ///< discarded up to the next boundary; `line` holds the
-                ///< error text the session answers with
-  };
-
-  virtual ~SessionIo() = default;
-
-  /// Pull the next request line. Blocking; transports map their own error
-  /// conditions (closed socket, stream failure) onto kEof.
-  [[nodiscard]] virtual Read read_line(std::string& line) = 0;
-
-  /// Push one reply line (the transport appends framing and flushes, so
-  /// piped/streamed sessions interleave correctly). Returns false when the
-  /// peer is gone — the session then ends quietly instead of crashing on a
-  /// broken pipe.
-  [[nodiscard]] virtual bool write_line(std::string_view reply) = 0;
-};
-
 /// Per-session serving knobs (pgtool serve flags map onto these).
 struct ServeOptions {
   /// When > 0, any answered query whose execution time meets the threshold
@@ -172,7 +144,7 @@ struct ServeOptions {
 /// What a serve session runs against. One implementation per engine
 /// flavor — a static Engine (below) or a live, generation-swapping
 /// LiveEngine (engine/generation.hpp) — so every flavor shares ONE session
-/// loop with identical framing, error, and metrics behavior.
+/// state machine with identical framing, error, and metrics behavior.
 class SessionHost {
  public:
   virtual ~SessionHost() = default;
@@ -182,12 +154,11 @@ class SessionHost {
 
   /// Execute a pipelined batch in request order, capturing each query's
   /// outcome — the result or the error run() would have thrown — so one
-  /// bad query never eats the replies behind it. The base implementation
-  /// loops run(); engine-backed hosts forward to Engine::run_batch (which
-  /// hoists the substrate route of consecutive same-route pair/lp
-  /// queries), and the live host pins ONE generation for the whole batch.
-  /// Replies MUST be bit-identical to per-query run().
-  [[nodiscard]] virtual std::vector<BatchItem> run_batch(std::span<const Query> queries);
+  /// bad query never eats the replies behind it. The static host forwards
+  /// to Engine::run_batch (which hoists the substrate route of consecutive
+  /// same-route pair/lp queries), and the live host pins ONE generation
+  /// for the whole batch. Replies MUST be bit-identical to per-query run().
+  [[nodiscard]] virtual std::vector<BatchItem> run_batch(std::span<const Query> queries) = 0;
 
   /// Answer one live request with a complete reply line ("ok\t...").
   /// Hosts that do not accept live updates throw std::runtime_error (the
@@ -205,9 +176,10 @@ class SessionHost {
 /// The buffer-oriented session state machine — the core every transport
 /// drives. Raw transport bytes go in through feed(), complete reply bytes
 /// come out through output(); the session neither reads nor writes any
-/// I/O itself, so the SAME machine serves blocking loops (serve_session
-/// below wraps it around a SessionIo) and the epoll reactor (which feeds
-/// nonblocking reads and drains output() through writev).
+/// I/O itself, so the SAME machine serves the blocking loop
+/// (run_blocking_session below: the stdin REPL and the threads transport)
+/// and the epoll reactor (which feeds nonblocking reads and drains
+/// output() through writev).
 ///
 /// Pipelining falls out of the split: feed() may deliver any number of
 /// newline-framed requests in one call (or a fraction of one), and pump()
@@ -219,24 +191,30 @@ class SessionHost {
 /// fairness: a pipelining hog yields the worker between turns).
 ///
 /// Framing, error behavior (err line + keep serving), per-session obs
-/// metrics, and reply bytes are identical across transports and identical
-/// to the blocking loop this class was extracted from. Not thread-safe:
-/// one session is driven by one thread at a time (the reactor's run-queue
-/// handoff guarantees this).
+/// metrics, and reply bytes are identical across transports however the
+/// request bytes are split into feeds. Not thread-safe: one session is
+/// driven by one thread at a time (the reactor's run-queue handoff
+/// guarantees this).
+///
+/// Observability: every session records into obs::Registry::global() —
+/// sessions/bytes/err-reply counters (err causes: "overlong" frames,
+/// "parse" failures, "bad-argument" client errors, "engine" routing or
+/// internal failures) and per-session query-count/lifetime histograms.
+/// Recording is lock-free on the session path (see obs/instruments.hpp)
+/// and never changes reply bytes.
 class Session {
  public:
   /// The host must outlive the session. Destruction records the
   /// per-session metrics (sessions/queries/lifetime) exactly once.
-  /// `max_line_bytes` bounds request lines for byte-fed transports; 0 =
-  /// unbounded (the line-fed drivers below bound their own framing).
+  /// `max_line_bytes` bounds request lines (an overlong frame answers one
+  /// err line and the session resyncs at the next newline); 0 = unbounded,
+  /// for trusted local pipes.
   explicit Session(SessionHost& host, ServeOptions opts = {},
                    std::size_t max_line_bytes = 0);
   ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-
-  // --- Byte-oriented interface (event-driven transports). ---
 
   /// Buffer raw transport bytes (any framing fragmentation).
   void feed(std::string_view bytes);
@@ -259,16 +237,6 @@ class Session {
   /// Successfully answered queries so far (err replies, metrics scrapes,
   /// and live verbs not counted) — the transport's queries_answered.
   [[nodiscard]] std::size_t answered() const noexcept { return answered_; }
-
-  // --- Line-oriented interface (transports that frame themselves: the
-  // --- SessionIo drivers below). Each call answers immediately into
-  // --- output().
-
-  /// Process one complete request line (no newline).
-  void process_line(std::string_view line);
-  /// A frame exceeded the transport's limit and was discarded; answer the
-  /// err line (`error_text` is the transport's message).
-  void process_overlong(std::string_view error_text);
 
  private:
   struct PendingQuery {
@@ -293,32 +261,25 @@ class Session {
   util::Timer lifetime_;  // connect-to-close, recorded at destruction
 };
 
-/// Run a serve session over any transport: read request lines until EOF or
-/// quit, answer exactly one reply line per non-ignored request. Malformed
-/// or overlong frames and engine errors become "err" replies and the
-/// session keeps serving. Returns the number of successfully answered
-/// queries (live verbs and metrics scrapes are not counted).
-///
-/// Observability: every session records into obs::Registry::global() —
-/// sessions/bytes/err-reply counters (err causes: "overlong" frames,
-/// "parse" failures, "bad-argument" client errors, "engine" routing or
-/// internal failures) and per-session query-count/lifetime histograms.
-/// Recording is lock-free on the session path (see obs/instruments.hpp)
-/// and never changes reply bytes.
-std::size_t serve_session(SessionHost& host, SessionIo& io,
-                          const ServeOptions& opts = {});
+/// Blocking byte I/O for run_blocking_session. `read` fills up to `cap`
+/// bytes of `buf` and returns the count, or <= 0 at end of input (EOF and
+/// errors end the session alike). `write` sends every byte of a reply
+/// chunk and returns false once the peer is gone.
+using SessionRead = std::function<long(char* buf, std::size_t cap)>;
+using SessionWrite = std::function<bool(std::string_view bytes)>;
 
-/// Session over a static Engine: queries only; update/epoch answer an err
-/// line naming --live.
-std::size_t serve_session(Engine& engine, SessionIo& io,
-                          const ServeOptions& opts = {});
-
-/// Stream adapter over the shared loop — the stdin REPL and the in-memory
-/// tests/benches. Lines are unbounded (the transport is a trusted local
-/// pipe); socket transports bound them instead (src/net/line_reader.hpp).
-std::size_t serve_session(SessionHost& host, std::istream& in, std::ostream& out,
-                          const ServeOptions& opts = {});
-std::size_t serve_session(Engine& engine, std::istream& in, std::ostream& out,
-                          const ServeOptions& opts = {});
+/// The one blocking session driver — the stdin REPL and the threads
+/// transport. Each turn reads at most one bounded chunk (16 KiB), feeds it
+/// (or feed_eof() once read returns <= 0), pump()s every complete request,
+/// and writes the replies; reading no further until they are written is
+/// what backpressures a peer that stops reading. Malformed or overlong
+/// frames and engine errors become "err" replies and the session keeps
+/// serving. Ends at quit, at EOF once every buffered request is answered,
+/// or on a failed write (quietly — a gone peer is a normal ending).
+/// Returns Session::answered().
+std::size_t run_blocking_session(SessionHost& host, const SessionRead& read,
+                                 const SessionWrite& write,
+                                 const ServeOptions& opts = {},
+                                 std::size_t max_line_bytes = 0);
 
 }  // namespace probgraph::engine

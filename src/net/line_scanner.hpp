@@ -6,10 +6,10 @@
 // or one byte at a time. LineScanner reassembles exactly one frame per
 // next() call from whatever feed() has buffered so far, and — crucially
 // for nonblocking transports — keeps ALL of its state across feeds,
-// including the overlong-frame resync below. The blocking LineReader
-// (line_reader.hpp) and the reactor's per-session input path
-// (net/reactor.cpp) are both thin wrappers over this class, so bounded
-// framing behaves identically on every transport.
+// including the overlong-frame resync below. engine::Session frames its
+// input through this class, and every transport — the blocking loop
+// (engine::run_blocking_session) and the epoll reactor — drives a
+// Session, so bounded framing behaves identically on every transport.
 //
 // The length bound is the transport's only defense against a client that
 // streams bytes without ever sending a newline: instead of growing the

@@ -12,41 +12,11 @@
 
 #include "engine/generation.hpp"
 #include "engine/protocol.hpp"
-#include "net/line_reader.hpp"
 #include "obs/metrics.hpp"
 
 namespace probgraph::net {
 
 namespace {
-
-/// The socket transport for the shared session loop: bounded framed reads
-/// in, one write per reply out (TCP does the buffering; a reply is small).
-class SocketSessionIo final : public engine::SessionIo {
- public:
-  SocketSessionIo(Socket& sock, std::size_t max_line_bytes)
-      : sock_(sock), reader_(sock, max_line_bytes) {}
-
-  Read read_line(std::string& line) override {
-    switch (reader_.next(line)) {
-      case LineReader::Status::kLine: return Read::kLine;
-      case LineReader::Status::kOverlong: return Read::kOverlong;
-      case LineReader::Status::kEof: break;
-    }
-    return Read::kEof;
-  }
-
-  bool write_line(std::string_view reply) override {
-    std::string framed;
-    framed.reserve(reply.size() + 1);
-    framed.append(reply);
-    framed.push_back('\n');
-    return sock_.write_all(framed);
-  }
-
- private:
-  Socket& sock_;
-  LineReader reader_;
-};
 
 void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
@@ -83,13 +53,16 @@ void Server::request_stop() noexcept {
 }
 
 void Server::handle(Conn* conn) {
-  SocketSessionIo io(conn->sock, opts_.max_line_bytes);
+  Socket& sock = conn->sock;
   try {
     auto host = opts_.live != nullptr ? engine::make_session_host(*opts_.live)
                                       : engine::make_session_host(*opts_.engine);
-    queries_answered_ += engine::serve_session(*host, io, opts_.session);
+    queries_answered_ += engine::run_blocking_session(
+        *host, [&sock](char* buf, std::size_t cap) { return sock.read_some(buf, cap); },
+        [&sock](std::string_view bytes) { return sock.write_all(bytes); },
+        opts_.session, opts_.max_line_bytes);
   } catch (...) {
-    // serve_session answers engine errors in-band; anything escaping here
+    // The session answers engine errors in-band; anything escaping here
     // (e.g. bad_alloc) ends this session only, never the server.
   }
   // Flush a FIN so a client that sent `quit` but holds its end open sees

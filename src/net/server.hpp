@@ -6,9 +6,10 @@
 // number of concurrent clients:
 //
 //   * thread-per-connection: each accepted socket gets a std::thread
-//     running the SAME serve_session loop as the stdin REPL, over a
-//     bounded LineReader (overlong/malformed frames answer an err line and
-//     the session continues — never a crash or a silent drop);
+//     running the SAME blocking loop as the stdin REPL
+//     (engine::run_blocking_session) with bounded framing (overlong or
+//     malformed frames answer an err line and the session continues —
+//     never a crash or a silent drop);
 //   * one engine, shared: queries hoist their backend dispatch per call
 //     and read the mapping concurrently; the Engine is immutable (see
 //     engine.hpp "Thread safety"), so sessions need no per-connection

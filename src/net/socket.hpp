@@ -3,9 +3,9 @@
 // Three small pieces, no event framework:
 //
 //   * Socket      — RAII over a connected file descriptor with EINTR-safe
-//                   read/write helpers. Writes never raise SIGPIPE (the
-//                   session loop turns a gone peer into a quiet end, not a
-//                   crash).
+//                   read/write helpers. Writes never raise SIGPIPE
+//                   (engine::run_blocking_session turns a gone peer into
+//                   a quiet end, not a crash).
 //   * TcpListener — bind + listen with SO_REUSEADDR; port 0 picks an
 //                   ephemeral port and port() reports the bound one, which
 //                   is what the loopback tests and benches use.

@@ -40,6 +40,7 @@
 #include "graph/io.hpp"
 #include "graph/orientation.hpp"
 #include "io/snapshot.hpp"
+#include "serve_helpers.hpp"
 #include "util/threading.hpp"
 
 namespace probgraph {
@@ -725,7 +726,8 @@ TEST(Protocol, MalformedLinesReportErrorsWithoutQueries) {
 
 TEST(Protocol, ServeSessionAnswersErrLinesAndKeepsServing) {
   engine::Engine e = engine::Engine::from_snapshot(data_path("golden.pgs"));
-  std::istringstream in(
+  const serve_test::Replay r = serve_test::replay(
+      e,
       "bogus\n"
       "pair intersection 0\n"
       "pair intersection 0 99999\n"
@@ -734,12 +736,10 @@ TEST(Protocol, ServeSessionAnswersErrLinesAndKeepsServing) {
       "stats\n"
       "quit\n"
       "stats\n");  // after quit: must not be answered
-  std::ostringstream out;
-  const std::size_t answered = engine::serve_session(e, in, out);
-  EXPECT_EQ(answered, 1u);  // only the first stats
+  EXPECT_EQ(r.answered, 1u);  // only the first stats
 
   std::vector<std::string> lines;
-  std::istringstream replies(out.str());
+  std::istringstream replies(r.replies);
   for (std::string l; std::getline(replies, l);) lines.push_back(l);
   ASSERT_EQ(lines.size(), 7u);
   for (std::size_t i = 0; i < 5; ++i) {
@@ -749,16 +749,49 @@ TEST(Protocol, ServeSessionAnswersErrLinesAndKeepsServing) {
   EXPECT_EQ(lines[6], "bye");
 }
 
+/// The replay splits the golden fixtures are checked at: one byte per
+/// read (every request split mid-token), a 7-byte prime stride, and the
+/// whole script in one read (every request pipelined into one batch).
+constexpr std::size_t kSplits[] = {1, 7, serve_test::kWholeScript};
+
 TEST(Protocol, GoldenTranscriptIsStable) {
   // The same fixture CI pipes through a real `pgtool serve` process:
   //   pgtool serve tests/data/golden.pgs --threads 1 < serve_session.txt
   // Regenerate serve_session.expected deliberately via that command after
   // any intentional protocol/estimator change.
   engine::Engine e = engine::Engine::from_snapshot(data_path("golden.pgs"));
-  std::istringstream in(read_file(data_path("serve_session.txt")));
-  std::ostringstream out;
-  (void)engine::serve_session(e, in, out);
-  EXPECT_EQ(out.str(), read_file(data_path("serve_session.expected")));
+  const std::string script = read_file(data_path("serve_session.txt"));
+  const std::string expected = read_file(data_path("serve_session.expected"));
+  for (const std::size_t chunk : kSplits) {
+    EXPECT_EQ(serve_test::replay(e, script, chunk).replies, expected)
+        << "read chunk " << chunk;
+  }
+}
+
+TEST(Protocol, FailedWriteEndsTheSessionWithTheCountSoFar) {
+  // A peer that stops reading (a closed pipe or socket) turns into a
+  // failed write: the driver stops reading and returns what was answered
+  // — the requests behind the failed write are never executed.
+  engine::Engine e = engine::Engine::from_snapshot(data_path("golden.pgs"));
+  const auto host = engine::make_session_host(e);
+  const std::string request = "stats\n";
+  int reads = 0;
+  int writes = 0;
+  const std::size_t answered = engine::run_blocking_session(
+      *host,
+      [&](char* buf, std::size_t cap) {
+        ++reads;
+        EXPECT_GE(cap, request.size());
+        request.copy(buf, request.size());  // an endless stream of stats
+        return static_cast<long>(request.size());
+      },
+      [&](std::string_view bytes) {
+        EXPECT_EQ(bytes.rfind("ok\tstats\t", 0), 0u) << bytes;
+        return ++writes < 2;  // the peer goes away after the first reply
+      });
+  EXPECT_EQ(answered, 2u);
+  EXPECT_EQ(reads, 2);
+  EXPECT_EQ(writes, 2);
 }
 
 TEST(Protocol, MultiSubstrateSessionRoutesPerQuery) {
@@ -766,7 +799,8 @@ TEST(Protocol, MultiSubstrateSessionRoutesPerQuery) {
   // neighborhood queries in a single session, with kind= switching the
   // sketch family per query.
   engine::Engine e = engine::Engine::from_snapshot(data_path("golden_v2.pgs"));
-  std::istringstream in(
+  const serve_test::Replay r = serve_test::replay(
+      e,
       "tc\n"
       "tc kind=kmv\n"
       "pair jaccard 0 1\n"
@@ -775,12 +809,10 @@ TEST(Protocol, MultiSubstrateSessionRoutesPerQuery) {
       "cluster jaccard 0.1 kind=kmv\n"
       "tc kind=1h\n"
       "quit\n");
-  std::ostringstream out;
-  const std::size_t answered = engine::serve_session(e, in, out);
-  EXPECT_EQ(answered, 6u);
+  EXPECT_EQ(r.answered, 6u);
 
   std::vector<std::string> lines;
-  std::istringstream replies(out.str());
+  std::istringstream replies(r.replies);
   for (std::string l; std::getline(replies, l);) lines.push_back(l);
   ASSERT_EQ(lines.size(), 8u);
   EXPECT_EQ(lines[0].rfind("ok\ttc\t", 0), 0u);
@@ -802,10 +834,11 @@ TEST(Protocol, MultiGoldenTranscriptsAreStable) {
   for (const auto& [script, expected] :
        {std::pair{"serve_multi_tc.txt", "serve_multi_tc.expected"},
         std::pair{"serve_multi_pair.txt", "serve_multi_pair.expected"}}) {
-    std::istringstream in(read_file(data_path(script)));
-    std::ostringstream out;
-    (void)engine::serve_session(e, in, out);
-    EXPECT_EQ(out.str(), read_file(data_path(expected))) << script;
+    for (const std::size_t chunk : kSplits) {
+      EXPECT_EQ(serve_test::replay(e, read_file(data_path(script)), chunk).replies,
+                read_file(data_path(expected)))
+          << script << ", read chunk " << chunk;
+    }
   }
 }
 

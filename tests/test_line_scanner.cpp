@@ -1,7 +1,7 @@
 // net::LineScanner — the socket-independent incremental framer behind both
 // transports' request framing.
 //
-// The regression this file exists for: the old blocking LineReader's
+// The regression this file exists for: an earlier blocking line reader's
 // overlong-frame resync assumed it could keep reading until the next
 // newline INSIDE one call. Feeding the same bytes a byte at a time (what a
 // nonblocking socket legitimately delivers) lost the discard state and

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "live/apply.hpp"
 #include "live/delta.hpp"
 #include "obs/metrics.hpp"
+#include "serve_helpers.hpp"
 #include "util/threading.hpp"
 
 namespace probgraph {
@@ -390,10 +390,7 @@ TEST(ApplyBatch, ResealedFileRoundTripsThroughSaveLoad) {
       "lp 5 common\nstats\nquit\n";
   const auto transcript_of = [&](const std::string& path) {
     engine::Engine e = engine::Engine::from_snapshot(path);
-    std::istringstream in(script);
-    std::ostringstream out;
-    engine::serve_session(e, in, out);
-    return out.str();
+    return serve_test::replay(e, script).replies;
   };
   const std::string sealed_replies = transcript_of(sealed_path.str());
   EXPECT_EQ(sealed_replies, transcript_of(cold_path.str()));
@@ -414,15 +411,10 @@ TEST(LiveEngine, SealSwapsGenerationsAndCachesCannotServeStale) {
 
   const std::string script =
       "tc\ntc kind=kmv\ncc\ncc kind=kh\npair jaccard 0 9\nquit\n";
-  const auto serve_script = [&] {
-    std::istringstream in(script);
-    std::ostringstream out;
-    engine::serve_session(live, in, out);
-    return out.str();
-  };
+  const auto serve_script = [&] { return serve_test::replay(live, script).replies; };
 
-  // Pre-swap queries WARM the generation's lazily-built caches — the exact
-  // state a stale-cache bug would leak across the swap.
+  // Pre-swap replies pin generation 1 — the state a seal that failed to
+  // swap every substrate would keep serving.
   const std::string before = serve_script();
 
   live.stage(/*tombstone=*/false, std::vector<Edge>{{0, 9}, {3, 17}});
@@ -437,7 +429,7 @@ TEST(LiveEngine, SealSwapsGenerationsAndCachesCannotServeStale) {
   EXPECT_EQ(live.pending().deletes, 0u);
 
   // Post-swap replies must be the UPDATED graph's — byte-identical to a
-  // cold build served fresh, and different from the warmed pre-swap ones.
+  // cold build served fresh, and different from the pre-swap ones.
   TempPath cold_path(".pgs");
   const live::DeltaBatch batch{{{0, 9}, {3, 17}}, {{0, 1}}};
   const CsrGraph cold_g = GraphBuilder::from_edges(edit_edges(golden_edges(), batch), 32);
@@ -448,12 +440,9 @@ TEST(LiveEngine, SealSwapsGenerationsAndCachesCannotServeStale) {
       cold_g, kinds, /*symmetric=*/true, /*degree_oriented=*/true);
   io::save_snapshot(cold_path.str(), cold.substrates);
   engine::Engine cold_engine = engine::Engine::from_snapshot(cold_path.str());
-  std::istringstream cold_in(script);
-  std::ostringstream cold_out;
-  engine::serve_session(cold_engine, cold_in, cold_out);
 
   const std::string after = serve_script();
-  EXPECT_EQ(after, cold_out.str());
+  EXPECT_EQ(after, serve_test::replay(cold_engine, script).replies);
   EXPECT_NE(after, before);
 
   // A second seal with nothing staged is a no-op.

@@ -27,13 +27,16 @@
 #include "graph/io.hpp"
 #include "io/snapshot.hpp"
 #include "live/delta.hpp"
-#include "net/line_reader.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
+#include "serve_helpers.hpp"
 #include "util/threading.hpp"
 
 namespace probgraph {
 namespace {
+
+using serve_test::ReplyReader;
+using serve_test::run_scripted_session;
 
 class PinThreads : public ::testing::Environment {
  public:
@@ -92,7 +95,7 @@ std::vector<Edge> edit_edges(std::vector<Edge> edges, const live::DeltaBatch& ba
 }
 
 /// Build the 4-kind × both-orientations snapshot of `edges` and return the
-/// serve_session transcript of `script` against it — the cold-build
+/// in-process replay of `script` against it — the cold-build
 /// reference every live reply is compared to.
 std::string cold_transcript(const std::vector<Edge>& edges, VertexId n,
                             const std::string& script) {
@@ -102,10 +105,7 @@ std::string cold_transcript(const std::vector<Edge>& edges, VertexId n,
       io::build_substrates(g, kAllKinds, /*symmetric=*/true, /*degree_oriented=*/true);
   io::save_snapshot(path.str(), set.substrates);
   engine::Engine e = engine::Engine::from_snapshot(path.str());
-  std::istringstream in(script);
-  std::ostringstream out;
-  engine::serve_session(e, in, out);
-  return out.str();
+  return serve_test::replay(e, script).replies;
 }
 
 /// One live server over a fresh golden snapshot, run()ning on a background
@@ -140,56 +140,32 @@ struct LiveServerFixture {
   std::thread thread;
 };
 
-std::string drain(net::Socket& sock) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const long got = sock.read_some(buf, sizeof buf);
-    if (got <= 0) break;
-    out.append(buf, static_cast<std::size_t>(got));
-  }
-  return out;
-}
-
-std::string run_scripted_session(std::uint16_t port, const std::string& script) {
-  net::Socket sock = net::connect_to("127.0.0.1", port);
-  EXPECT_TRUE(sock.write_all(script));
-  sock.shutdown_write();
-  return drain(sock);
-}
-
-std::string read_reply_line(net::LineReader& reader) {
-  std::string line;
-  EXPECT_EQ(reader.next(line), net::LineReader::Status::kLine);
-  return line;
-}
-
 TEST(LiveServe, UpdateVerbsStageAndSealOverTheWire) {
   LiveServerFixture f;
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   ASSERT_TRUE(sock.write_all("epoch\n"));
-  EXPECT_EQ(read_reply_line(reader),
+  EXPECT_EQ(reader.next(),
             "ok\tepoch\tgeneration=1\tpending_inserts=0\tpending_deletes=0");
 
   ASSERT_TRUE(sock.write_all("update insert 0 9 3 17\n"));
-  EXPECT_EQ(read_reply_line(reader),
+  EXPECT_EQ(reader.next(),
             "ok\tupdate\tstaged=insert\tedges=2\tpending_inserts=2\t"
             "pending_deletes=0");
   ASSERT_TRUE(sock.write_all("update delete 0 1\n"));
-  EXPECT_EQ(read_reply_line(reader),
+  EXPECT_EQ(reader.next(),
             "ok\tupdate\tstaged=delete\tedges=1\tpending_inserts=2\t"
             "pending_deletes=1");
 
   // Staged changes are INVISIBLE until sealed: still generation 1 replies.
   const std::string pre_seal = cold_transcript(golden_edges(), 32, "tc\nquit\n");
   ASSERT_TRUE(sock.write_all("tc\n"));
-  EXPECT_EQ(read_reply_line(reader) + "\n",
+  EXPECT_EQ(reader.next() + "\n",
             pre_seal.substr(0, pre_seal.find("bye")));
 
   ASSERT_TRUE(sock.write_all("update seal\n"));
-  const std::string sealed = read_reply_line(reader);
+  const std::string sealed = reader.next();
   EXPECT_EQ(sealed.rfind("ok\tupdate\tsealed\tgeneration=2\tapplied_inserts=2\t"
                          "applied_deletes=1",
                          0),
@@ -197,10 +173,10 @@ TEST(LiveServe, UpdateVerbsStageAndSealOverTheWire) {
       << sealed;
 
   ASSERT_TRUE(sock.write_all("epoch\nupdate seal\nquit\n"));
-  EXPECT_EQ(read_reply_line(reader),
+  EXPECT_EQ(reader.next(),
             "ok\tepoch\tgeneration=2\tpending_inserts=0\tpending_deletes=0");
-  EXPECT_EQ(read_reply_line(reader), "ok\tupdate\tnoop\tgeneration=2");
-  EXPECT_EQ(read_reply_line(reader), "bye");
+  EXPECT_EQ(reader.next(), "ok\tupdate\tnoop\tgeneration=2");
+  EXPECT_EQ(reader.next(), "bye");
 
   // Post-swap, a full multi-kind session must be byte-identical to the
   // cold build of the updated edge list.
@@ -334,7 +310,7 @@ TEST(LiveServe, ConcurrentSessionsAcrossResealsSeeOnlyWholeGenerations) {
   // before the next so generations advance 1 → 2 → 3 → 4.
   {
     net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-    net::LineReader reader(sock, 1 << 16);
+    ReplyReader reader(sock);
     for (const live::DeltaBatch& b : batches) {
       std::string req = "update insert";
       for (const Edge& e : b.inserts) {
@@ -342,7 +318,7 @@ TEST(LiveServe, ConcurrentSessionsAcrossResealsSeeOnlyWholeGenerations) {
       }
       req += "\n";
       ASSERT_TRUE(sock.write_all(req));
-      EXPECT_EQ(read_reply_line(reader).rfind("ok\tupdate\tstaged=insert", 0), 0u);
+      EXPECT_EQ(reader.next().rfind("ok\tupdate\tstaged=insert", 0), 0u);
       if (!b.deletes.empty()) {
         req = "update delete";
         for (const Edge& e : b.deletes) {
@@ -350,15 +326,15 @@ TEST(LiveServe, ConcurrentSessionsAcrossResealsSeeOnlyWholeGenerations) {
         }
         req += "\n";
         ASSERT_TRUE(sock.write_all(req));
-        EXPECT_EQ(read_reply_line(reader).rfind("ok\tupdate\tstaged=delete", 0), 0u);
+        EXPECT_EQ(reader.next().rfind("ok\tupdate\tstaged=delete", 0), 0u);
       }
       ASSERT_TRUE(sock.write_all("update seal\n"));
-      EXPECT_EQ(read_reply_line(reader).rfind("ok\tupdate\tsealed\t", 0), 0u);
+      EXPECT_EQ(reader.next().rfind("ok\tupdate\tsealed\t", 0), 0u);
       // Let the clients observe this generation before the next seal.
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     ASSERT_TRUE(sock.write_all("quit\n"));
-    EXPECT_EQ(read_reply_line(reader), "bye");
+    EXPECT_EQ(reader.next(), "bye");
   }
   stop.store(true);
   for (auto& t : clients) t.join();
@@ -412,19 +388,19 @@ TEST(LiveServe, LongSessionPinsAcrossSwapsReplyByReply) {
   };
 
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(sock.write_all("tc\n"));
-    EXPECT_EQ(read_reply_line(reader), tc_line(tc_gen1));
+    EXPECT_EQ(reader.next(), tc_line(tc_gen1));
   }
   f.live.stage(/*tombstone=*/false, batch.inserts);
   ASSERT_TRUE(f.live.seal().sealed);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(sock.write_all("tc\n"));
-    EXPECT_EQ(read_reply_line(reader), tc_line(tc_gen2));
+    EXPECT_EQ(reader.next(), tc_line(tc_gen2));
   }
   ASSERT_TRUE(sock.write_all("quit\n"));
-  EXPECT_EQ(read_reply_line(reader), "bye");
+  EXPECT_EQ(reader.next(), "bye");
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "graph/generators.hpp"
 #include "obs/instruments.hpp"
 #include "obs/kernel_metrics.hpp"
+#include "serve_helpers.hpp"
 #include "util/threading.hpp"
 
 namespace probgraph {
@@ -256,11 +257,8 @@ engine::Engine make_engine() {
 
 std::vector<std::string> serve_lines(engine::Engine& eng,
                                      const std::string& script) {
-  std::istringstream in(script);
-  std::ostringstream out;
-  engine::serve_session(eng, in, out);
   std::vector<std::string> lines;
-  std::istringstream replies(out.str());
+  std::istringstream replies(serve_test::replay(eng, script).replies);
   std::string line;
   while (std::getline(replies, line)) lines.push_back(line);
   return lines;
@@ -327,35 +325,25 @@ TEST(ObsProtocol, ErrCausesAreCountedDistinctly) {
 }
 
 TEST(ObsProtocol, OverlongFramesCountAsTheirOwnCause) {
-  // A fake transport that yields one overlong frame then EOF: the session
+  // One 200-byte frame against a 128-byte bound, then EOF: the session
   // must answer an err line AND tally the "overlong" cause — protocol
   // abuse stays distinguishable from client bugs in the scrape output.
-  class OverlongOnce final : public engine::SessionIo {
-   public:
-    Read read_line(std::string& line) override {
-      if (served_) return Read::kEof;
-      served_ = true;
-      line = "line exceeds the 128-byte limit";
-      return Read::kOverlong;
-    }
-    bool write_line(std::string_view reply) override {
-      replies.emplace_back(reply);
-      return true;
-    }
-    std::vector<std::string> replies;
-
-   private:
-    bool served_ = false;
-  };
-
   const obs::Labels overlong{{"cause", "overlong"}};
   const std::uint64_t before =
       counter_value("probgraph_session_errors_total", overlong);
   engine::Engine eng = make_engine();
-  OverlongOnce io;
-  EXPECT_EQ(engine::serve_session(eng, io), 0u);
-  ASSERT_EQ(io.replies.size(), 1u);
-  EXPECT_EQ(io.replies[0].rfind("err\t", 0), 0u);
+  const auto host = engine::make_session_host(eng);
+  engine::Session session(*host, {}, 128);
+  session.feed(std::string(200, 'x') + "\n");
+  session.feed_eof();
+  session.pump();
+  EXPECT_TRUE(session.done());
+  EXPECT_EQ(session.answered(), 0u);
+  std::vector<std::string> replies;
+  std::istringstream out(session.output());
+  for (std::string line; std::getline(out, line);) replies.push_back(line);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].rfind("err\t", 0), 0u);
   EXPECT_EQ(counter_value("probgraph_session_errors_total", overlong) - before,
             1u);
 }

@@ -39,14 +39,18 @@
 #include "engine/engine.hpp"
 #include "engine/protocol.hpp"
 #include "graph/io.hpp"
-#include "net/line_reader.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_http.hpp"
+#include "serve_helpers.hpp"
 #include "util/threading.hpp"
 
 namespace probgraph {
 namespace {
+
+using serve_test::drain;
+using serve_test::ReplyReader;
+using serve_test::run_scripted_session;
 
 class PinThreads : public ::testing::Environment {
  public:
@@ -86,36 +90,6 @@ struct ServerFixture {
   std::unique_ptr<net::Transport> server;
   std::thread thread;
 };
-
-/// Read every byte until the server closes the connection.
-std::string drain(net::Socket& sock) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const long got = sock.read_some(buf, sizeof buf);
-    if (got <= 0) break;
-    out.append(buf, static_cast<std::size_t>(got));
-  }
-  return out;
-}
-
-/// Scripted client: connect, send the whole script, half-close, read the
-/// full transcript. Mirrors `pgtool client < script`. The single write is
-/// also the pipelining workload: every request of the script may land in
-/// one segment, and the transcript must still be every reply in order.
-std::string run_scripted_session(std::uint16_t port, const std::string& script) {
-  net::Socket sock = net::connect_to("127.0.0.1", port);
-  EXPECT_TRUE(sock.write_all(script));
-  sock.shutdown_write();
-  return drain(sock);
-}
-
-/// Read exactly one reply line (newline stripped) — for ping-pong tests.
-std::string read_reply_line(net::LineReader& reader) {
-  std::string line;
-  EXPECT_EQ(reader.next(line), net::LineReader::Status::kLine);
-  return line;
-}
 
 std::uint64_t counter_value(const char* name, const obs::Labels& labels = {}) {
   const obs::Counter* c = obs::Registry::global().find_counter(name, labels);
@@ -244,29 +218,29 @@ TEST_P(ServeTransport, LazyCacheBuildIsRaceFreeAcrossSessions) {
   EXPECT_EQ(transcripts[0].rfind("ok\ttc\t", 0), 0u) << transcripts[0];
   for (int i = 1; i < kClients; ++i) {
     EXPECT_EQ(transcripts[static_cast<std::size_t>(i)], transcripts[0])
-        << "client " << i << " saw different lazily-built caches";
+        << "client " << i << " saw a different reply under concurrent first queries";
   }
 }
 
 TEST_P(ServeTransport, PartialWritesAndCrlfFramesParse) {
   ServerFixture f(GetParam());
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   // One request split across three writes...
   ASSERT_TRUE(sock.write_all("sta"));
   ASSERT_TRUE(sock.write_all("t"));
   ASSERT_TRUE(sock.write_all("s\n"));
-  EXPECT_EQ(read_reply_line(reader).rfind("ok\tstats\tn=32\t", 0), 0u);
+  EXPECT_EQ(reader.next().rfind("ok\tstats\tn=32\t", 0), 0u);
 
   // ...a CRLF-framed request (telnet/netcat style)...
   ASSERT_TRUE(sock.write_all("pair intersection 0 1\r\n"));
-  EXPECT_EQ(read_reply_line(reader).rfind("ok\tpair\t0:1=", 0), 0u);
+  EXPECT_EQ(reader.next().rfind("ok\tpair\t0:1=", 0), 0u);
 
   // ...and two requests in one write: two replies, in order.
   ASSERT_TRUE(sock.write_all("help\nquit\n"));
-  EXPECT_EQ(read_reply_line(reader).rfind("ok\thelp\t", 0), 0u);
-  EXPECT_EQ(read_reply_line(reader), "bye");
+  EXPECT_EQ(reader.next().rfind("ok\thelp\t", 0), 0u);
+  EXPECT_EQ(reader.next(), "bye");
 }
 
 TEST_P(ServeTransport, OneByteSegmentsReassembleToTheGoldenTranscript) {
@@ -311,7 +285,7 @@ TEST_P(ServeTransport, OversizedLineAnswersErrAndSessionRecovers) {
   opts.max_line_bytes = 128;
   ServerFixture f(GetParam(), opts);
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   // A 4 KiB frame against a 128-byte bound: one err reply, then the
   // session keeps serving from the next line boundary — malformed frames
@@ -319,13 +293,13 @@ TEST_P(ServeTransport, OversizedLineAnswersErrAndSessionRecovers) {
   std::string garbage(4096, 'x');
   garbage += '\n';
   ASSERT_TRUE(sock.write_all(garbage));
-  const std::string err = read_reply_line(reader);
+  const std::string err = reader.next();
   EXPECT_EQ(err.rfind("err\t", 0), 0u) << err;
   EXPECT_NE(err.find("128-byte limit"), std::string::npos) << err;
 
   ASSERT_TRUE(sock.write_all("stats\nquit\n"));
-  EXPECT_EQ(read_reply_line(reader).rfind("ok\tstats\t", 0), 0u);
-  EXPECT_EQ(read_reply_line(reader), "bye");
+  EXPECT_EQ(reader.next().rfind("ok\tstats\t", 0), 0u);
+  EXPECT_EQ(reader.next(), "bye");
 }
 
 TEST_P(ServeTransport, InterleavedOverlongFramesEachAnswerOnceAndResync) {
@@ -412,9 +386,9 @@ TEST_P(ServeTransport, MaxConnsRejectsWithErrLineThenRecovers) {
 
   // Occupy the single slot and prove the session is live.
   net::Socket held = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader held_reader(held, 1 << 16);
+  ReplyReader held_reader(held);
   ASSERT_TRUE(held.write_all("stats\n"));
-  EXPECT_EQ(read_reply_line(held_reader).rfind("ok\tstats\t", 0), 0u);
+  EXPECT_EQ(held_reader.next().rfind("ok\tstats\t", 0), 0u);
 
   // The second connection is answered with a capacity err line and closed
   // — distinguishable from both a refused connect and a protocol error.
@@ -427,7 +401,7 @@ TEST_P(ServeTransport, MaxConnsRejectsWithErrLineThenRecovers) {
   // Free the slot; the server accepts again (session teardown is
   // asynchronous on both transports, so poll until the slot is back).
   ASSERT_TRUE(held.write_all("quit\n"));
-  EXPECT_EQ(read_reply_line(held_reader), "bye");
+  EXPECT_EQ(held_reader.next(), "bye");
   held.close();
 
   bool served = false;
@@ -457,8 +431,8 @@ TEST_P(ServeTransport, RequestStopUnblocksParkedSessions) {
   // join/drain everything.
   net::Socket idle = net::connect_to("127.0.0.1", server->port());
   ASSERT_TRUE(idle.write_all("stats\n"));
-  char buf[512];
-  ASSERT_GT(idle.read_some(buf, sizeof buf), 0);  // session is live & parked
+  ReplyReader reader(idle);
+  ASSERT_EQ(reader.next().rfind("ok\tstats\t", 0), 0u);  // live & parked
 
   server->request_stop();
   runner.join();
@@ -471,23 +445,23 @@ TEST_P(ServeTransport, RequestStopUnblocksParkedSessions) {
 TEST_P(ServeTransport, MetricsVerbAndTimeClauseWorkOverSockets) {
   ServerFixture f(GetParam());
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   // `metrics` answers the one-line tab snapshot in-band...
   ASSERT_TRUE(sock.write_all("metrics\n"));
-  const std::string snap = read_reply_line(reader);
+  const std::string snap = reader.next();
   EXPECT_EQ(snap.rfind("ok\tmetrics\t", 0), 0u) << snap.substr(0, 64);
   EXPECT_NE(snap.find("probgraph_sessions_total="), std::string::npos);
 
   // ...and the opt-in time clause appends elapsed_us= to its own reply
   // only: the same query without the clause is byte-stable.
   ASSERT_TRUE(sock.write_all("stats time\nstats\nquit\n"));
-  const std::string timed = read_reply_line(reader);
+  const std::string timed = reader.next();
   EXPECT_NE(timed.find("\telapsed_us="), std::string::npos) << timed;
-  const std::string plain = read_reply_line(reader);
+  const std::string plain = reader.next();
   EXPECT_EQ(plain.find("elapsed_us="), std::string::npos) << plain;
   EXPECT_EQ(timed.substr(0, timed.find("\telapsed_us=")), plain);
-  EXPECT_EQ(read_reply_line(reader), "bye");
+  EXPECT_EQ(reader.next(), "bye");
 
   // The metrics reply is not a query: counters still say 2 (stats×2 — the
   // timed one counts; metrics and quit are bookkeeping).
@@ -673,15 +647,15 @@ TEST(ServeNet, OverlongSocketFramesCountTheOverlongCause) {
   opts.max_line_bytes = 128;
   ServerFixture f(net::TransportKind::kThreads, opts);
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   std::string garbage(4096, 'x');
   garbage += '\n';
   ASSERT_TRUE(sock.write_all(garbage));
-  EXPECT_EQ(read_reply_line(reader).rfind("err\t", 0), 0u);
+  EXPECT_EQ(reader.next().rfind("err\t", 0), 0u);
   ASSERT_TRUE(sock.write_all("not-a-verb\nquit\n"));
-  EXPECT_EQ(read_reply_line(reader).rfind("err\t", 0), 0u);
-  EXPECT_EQ(read_reply_line(reader), "bye");
+  EXPECT_EQ(reader.next().rfind("err\t", 0), 0u);
+  EXPECT_EQ(reader.next(), "bye");
   f.server->request_stop();
   f.thread.join();
 

@@ -110,7 +110,6 @@
 #include <cstdlib>
 #include <charconv>
 #include <fstream>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
@@ -1056,6 +1055,11 @@ int run_serve(const Args& a) {
   std::optional<ScopedMetricsServer> metrics;
   if (a.metrics_port) metrics.emplace(*a.metrics_port);
 
+  // A vanished reader — a --listen client, or whatever stdout is piped
+  // into — becomes a failed write that ends its session quietly, not a
+  // SIGPIPE that kills the process before the summary below.
+  std::signal(SIGPIPE, SIG_IGN);
+
   if (!a.listen) {
     std::fprintf(stderr,
                  "pgtool serve: %s — n=%u, substrates [%s], mapped in %.4fs%s; one "
@@ -1063,9 +1067,21 @@ int run_serve(const Args& a) {
                  a.input.c_str(), e.graph().num_vertices(),
                  io::describe_substrates(info.substrates).c_str(), load_timer.seconds(),
                  live_note);
-    const std::size_t answered =
-        live ? engine::serve_session(*live, std::cin, std::cout, session_opts)
-             : engine::serve_session(*owned, std::cin, std::cout, session_opts);
+    const auto host =
+        live ? engine::make_session_host(*live) : engine::make_session_host(*owned);
+    const std::size_t answered = engine::run_blocking_session(
+        *host,
+        [](char* buf, std::size_t cap) {
+          for (;;) {
+            const ssize_t got = ::read(STDIN_FILENO, buf, cap);
+            if (got >= 0 || errno != EINTR) return static_cast<long>(got);
+          }
+        },
+        [](std::string_view bytes) {
+          return std::fwrite(bytes.data(), 1, bytes.size(), stdout) == bytes.size() &&
+                 std::fflush(stdout) == 0;
+        },
+        session_opts);
     std::fprintf(stderr, "pgtool serve: session over, %zu quer%s answered\n", answered,
                  answered == 1 ? "y" : "ies");
     print_metrics_summary();
@@ -1092,7 +1108,6 @@ int run_serve(const Args& a) {
                live_note, static_cast<unsigned>(server->port()),
                net::transport_kind_name(a.transport), a.max_conns);
 
-  std::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill the server
   g_signal_server.store(server.get());  // published (seq_cst) before the handlers exist
   std::signal(SIGINT, stop_signal_handler);
   std::signal(SIGTERM, stop_signal_handler);
@@ -1119,7 +1134,7 @@ int run_client(const Args& a) {
   std::signal(SIGPIPE, SIG_IGN);
 
   // Single-threaded two-way pump: stdin bytes go to the server as-is (its
-  // LineReader does the framing), reply bytes go to stdout as they arrive.
+  // session does the framing), reply bytes go to stdout as they arrive.
   // Stdin EOF half-closes the connection ("no more requests"); the session
   // ends when the server closes — after `quit`, a stop signal, or a
   // protocol-free probe (empty stdin), so piped transcripts match the
