@@ -23,6 +23,9 @@
 // path (est_intersection_batch per vertex — what triangle counting and
 // link prediction now run).
 //
+// A third compares the two BF membership filters over the C3 probes of a
+// 4-clique query (`BM_BloomMember*`, cycles/probe per hash count b).
+//
 // `--json` (stdout) or `--json=FILE` dump the full report as JSON; they
 // are shorthand for the corresponding --benchmark_* flags.
 #include <benchmark/benchmark.h>
@@ -42,8 +45,10 @@
 #include "core/kernels/kernels.hpp"
 #include "core/minhash.hpp"
 #include "graph/generators.hpp"
+#include "graph/orientation.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"
+#include "util/threading.hpp"
 
 namespace pb = probgraph;
 namespace pk = probgraph::kernels;
@@ -362,6 +367,79 @@ void BM_PgEdgeSweepBatchedBackend(benchmark::State& state) {
   const std::uint64_t c1 = read_cycles();
   set_sweep_counters(state, c1 - c0);
 }
+
+// --- BF membership filter over a C3-shaped sweep: for every DAG arc
+// --- (u, v), the elements of N+v inside BF(N+u) — the candidate filter of
+// --- the BF 4-clique kernel. One iteration is one query's worth of probes
+// --- on one core: the hash-per-probe `contains` loop against the probe
+// --- table (built inside the iteration, as a query builds it) plus the
+// --- branchless compaction kernel. Both keep the same candidates.
+
+const pb::CsrGraph& c3_dag() {
+  static const pb::CsrGraph dag = pb::degree_orient(dispatch_graph());
+  return dag;
+}
+
+template <typename Sweep>
+void bloom_member_bench(benchmark::State& state, Sweep&& sweep) {
+  const pb::util::ThreadScope one(1);
+  pb::ProbGraphConfig cfg;
+  cfg.storage_budget = 0.25;
+  cfg.bf_hashes = static_cast<std::uint32_t>(state.range(0));
+  const pb::ProbGraph pg(c3_dag(), cfg);
+  const auto be = pg.backend<pb::BloomAndBackend>();
+  std::vector<pb::VertexId> buf(c3_dag().max_degree());
+  std::uint64_t probes = 0, kept = 0;
+  const std::uint64_t c0 = read_cycles();
+  for (auto _ : state) {
+    probes = 0;
+    kept = 0;
+    sweep(be, buf, probes, kept);
+    benchmark::DoNotOptimize(kept);
+  }
+  const std::uint64_t c1 = read_cycles();
+  const double total = static_cast<double>(state.iterations()) * static_cast<double>(probes);
+  state.counters["probes/sec"] = benchmark::Counter(total, benchmark::Counter::kIsRate);
+  state.counters["probes/query"] = static_cast<double>(probes);
+  state.counters["kept/probe"] = static_cast<double>(kept) / static_cast<double>(probes);
+  if (c1 > c0 && total > 0) state.counters["cycles/probe"] = static_cast<double>(c1 - c0) / total;
+}
+
+void BM_BloomMemberContains(benchmark::State& state) {
+  bloom_member_bench(state, [](const auto& be, auto& buf, std::uint64_t& probes,
+                               std::uint64_t& kept) {
+    const pb::CsrGraph& dag = c3_dag();
+    for (pb::VertexId u = 0; u < dag.num_vertices(); ++u) {
+      const pb::BloomFilterView bf_u = be.bf(u);
+      for (const pb::VertexId v : dag.neighbors(u)) {
+        std::size_t k = 0;
+        for (const pb::VertexId x : dag.neighbors(v)) {
+          if (bf_u.contains(x)) buf[k++] = x;
+        }
+        probes += dag.degree(v);
+        kept += k;
+      }
+    }
+  });
+}
+
+void BM_BloomMemberProbeTable(benchmark::State& state) {
+  bloom_member_bench(state, [](const auto& be, auto& buf, std::uint64_t& probes,
+                               std::uint64_t& kept) {
+    const pb::CsrGraph& dag = c3_dag();
+    const pb::BloomProbeTable table = be.probe_table();
+    for (pb::VertexId u = 0; u < dag.num_vertices(); ++u) {
+      const auto wu = be.words(u);
+      for (const pb::VertexId v : dag.neighbors(u)) {
+        kept += table.filter(wu, dag.neighbors(v), buf.data());
+        probes += dag.degree(v);
+      }
+    }
+  });
+}
+
+BENCHMARK(BM_BloomMemberContains)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BloomMemberProbeTable)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void dispatch_kinds(benchmark::internal::Benchmark* b) {
   b->Arg(static_cast<int>(pb::SketchKind::kBloomFilter))

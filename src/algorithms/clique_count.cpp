@@ -1,11 +1,27 @@
+// 4-clique counting (see clique_count.hpp for the algorithm). Two
+// implementation choices of the sketch paths:
+//
+// * BF C3 membership. Every query builds one BloomProbeTable over the DAG
+//   substrate: the b bit positions of every vertex id (O(n·b) hashes,
+//   4·n·b bytes). N+v is then filtered against BF(N+u) by
+//   kernels::bloom_member_compact, b loads and a branch-free store per
+//   probe, instead of b hashes, b 64-bit divisions and a branch per
+//   BloomFilterView::contains. The kept lists, their order and every
+//   popcount are the same as with contains.
+// * Thread-count-independent sums. The BF and MinHash estimators add
+//   their terms in fixed blocks of 32 u-vertices, one partial per block,
+//   and add the partials in block order (fixed_block_sum), so the
+//   estimate is bit-identical at any OMP_NUM_THREADS.
 #include "algorithms/clique_count.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
 
 #include "core/backends.hpp"
+#include "core/bloom_filter.hpp"
 #include "core/estimators.hpp"
 #include "core/intersect.hpp"
 #include "core/kernels/kernels.hpp"
@@ -41,25 +57,52 @@ std::uint64_t four_clique_count_exact(const CsrGraph& g) {
 
 namespace {
 
+/// u-vertices per summation block of the sketch estimators.
+constexpr std::int64_t kSumBlock = 32;
+
+/// Σ over u < n of the terms `add(u, acc)` adds into `acc`, independent of
+/// the thread count: each fixed block of kSumBlock u-vertices is summed in
+/// u order into its own partial, and the partials are added in block order
+/// (the blocks are handed out dynamically, as schedule(dynamic, 32) handed
+/// out u-vertices). `make_adder` runs once per thread and returns that
+/// thread's `add`, which owns the thread's scratch. A graph of at most
+/// kSumBlock vertices is one block: the plain sequential sum.
+template <typename MakeAdder>
+double fixed_block_sum(VertexId n, MakeAdder make_adder) {
+  const std::int64_t blocks = (static_cast<std::int64_t>(n) + kSumBlock - 1) / kSumBlock;
+  std::vector<double> partial(static_cast<std::size_t>(blocks), 0.0);
+#pragma omp parallel
+  {
+    auto add = make_adder();
+#pragma omp for schedule(dynamic, 1)
+    for (std::int64_t block = 0; block < blocks; ++block) {
+      const std::int64_t end = std::min<std::int64_t>(n, (block + 1) * kSumBlock);
+      double acc = 0.0;
+      for (std::int64_t u = block * kSumBlock; u < end; ++u) add(static_cast<VertexId>(u), acc);
+      partial[static_cast<std::size_t>(block)] = acc;
+    }
+  }
+  double total = 0.0;
+  for (const double p : partial) total += p;
+  return total;
+}
+
 template <typename Backend>
 double four_clique_bf(const CsrGraph& dag, const Backend be) {
-  const VertexId n = dag.num_vertices();
-  double total = 0.0;
-#pragma omp parallel reduction(+ : total)
-  {
-    std::vector<VertexId> c3;
-    std::vector<std::uint64_t> uv;      // B_u AND B_v, materialized once per (u, v)
-    std::vector<std::uint64_t> counts;  // batched and3 popcounts over C3
-#pragma omp for schedule(dynamic, 32)
-    for (std::int64_t u = 0; u < static_cast<std::int64_t>(n); ++u) {
-      const auto bf_u = be.bf(static_cast<VertexId>(u));
-      const auto wu = be.words(static_cast<VertexId>(u));
-      for (const VertexId v : dag.neighbors(static_cast<VertexId>(u))) {
+  const BloomProbeTable probes = be.probe_table();
+  return fixed_block_sum(dag.num_vertices(), [&] {
+    return [&dag, &be, &probes, c3_buf = std::vector<VertexId>(),
+            uv = std::vector<std::uint64_t>(),
+            counts = std::vector<std::uint64_t>()](VertexId u, double& acc) mutable {
+      // c3_buf grows to the largest N+v and never shrinks; uv is B_u AND
+      // B_v, materialized once per (u, v); counts are the batched and3
+      // popcounts over C3.
+      const auto wu = be.words(u);
+      for (const VertexId v : dag.neighbors(u)) {
         // Approximate C3 membership list: elements of N+v inside BF(N+u).
-        c3.clear();
-        for (const VertexId x : dag.neighbors(v)) {
-          if (bf_u.contains(x)) c3.push_back(x);
-        }
+        const auto nv = dag.neighbors(v);
+        if (c3_buf.size() < nv.size()) c3_buf.resize(nv.size());
+        const std::span<const VertexId> c3(c3_buf.data(), probes.filter(wu, nv, c3_buf.data()));
         if (c3.empty()) continue;
         // popcount(B_u & B_v & B_w) over all w ∈ C3 as one batched sweep:
         // the (u, v) AND is hoisted out of the w loop — it was recomputed
@@ -72,25 +115,19 @@ double four_clique_bf(const CsrGraph& dag, const Backend be) {
         kernels::and_popcount_batch(uv, be.arena, be.words_per_vertex, c3,
                                     counts.data());
         for (const std::uint64_t ones : counts) {
-          total += est::bf_intersection_and(ones, be.bits, be.hashes);
+          acc += est::bf_intersection_and(ones, be.bits, be.hashes);
         }
       }
-    }
-  }
-  return total;
+    };
+  });
 }
 
 template <typename Backend>
 double four_clique_mh(const CsrGraph& dag, const Backend be) {
-  const VertexId n = dag.num_vertices();
-  double total = 0.0;
-#pragma omp parallel reduction(+ : total)
-  {
-    std::vector<VertexId> c3s;
-#pragma omp for schedule(dynamic, 32)
-    for (std::int64_t u = 0; u < static_cast<std::int64_t>(n); ++u) {
-      for (const VertexId v : dag.neighbors(static_cast<VertexId>(u))) {
-        const double est_c3 = be.sampled_intersection(static_cast<VertexId>(u), v, c3s);
+  return fixed_block_sum(dag.num_vertices(), [&] {
+    return [&dag, &be, c3s = std::vector<VertexId>()](VertexId u, double& acc) mutable {
+      for (const VertexId v : dag.neighbors(u)) {
+        const double est_c3 = be.sampled_intersection(u, v, c3s);
         if (c3s.empty() || est_c3 <= 0.0) continue;
         // Inverse sampling fraction; C3s can exceed the estimate on small
         // sets, in which case the sample is effectively exhaustive.
@@ -101,11 +138,10 @@ double four_clique_mh(const CsrGraph& dag, const Backend be) {
           inner += static_cast<double>(
               intersect_size_merge(dag.neighbors(w), {c3s.data(), c3s.size()}));
         }
-        total += inv_p * inv_p * inner;
+        acc += inv_p * inv_p * inner;
       }
-    }
-  }
-  return total;
+    };
+  });
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //
 // ProbGraph (BF): C3's *membership list* is recovered by querying each
 // element of N+_v against BF(N+_u) (false positives possible — BF
-// semantics); the inner cardinality is estimated by the chained bitwise
+// semantics; the probes go through a per-query probe table, see
+// clique_count.cpp); the inner cardinality is estimated by the chained bitwise
 // AND  B_u ∧ B_v ∧ B_w  fed through Eq. (2), which estimates
 // |N+_u ∩ N+_v ∩ N+_w| = |N+_w ∩ C3| directly.
 //
@@ -35,7 +36,8 @@ namespace probgraph::algo {
 [[nodiscard]] std::uint64_t four_clique_count_exact_oriented(const CsrGraph& dag);
 
 /// ProbGraph 4-clique estimate. `pg` must be built over the degree-oriented
-/// DAG of the input graph. Throws std::invalid_argument for SketchKind::kKmv.
+/// DAG of the input graph. Bit-identical at any OpenMP thread count.
+/// Throws std::invalid_argument for SketchKind::kKmv.
 [[nodiscard]] double four_clique_count_probgraph(const ProbGraph& pg);
 
 }  // namespace probgraph::algo

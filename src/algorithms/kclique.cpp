@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/backends.hpp"
+#include "core/bloom_filter.hpp"
 #include "core/estimators.hpp"
 #include "core/intersect.hpp"
 #include "graph/orientation.hpp"
@@ -64,7 +65,7 @@ namespace {
 /// estimator (the chained popcount *is* the AND statistic — Limit/OR have
 /// no chained analogue).
 template <typename Backend>
-double bf_rec(const Backend& be, std::span<const VertexId> cand,
+double bf_rec(const Backend& be, const BloomProbeTable& probes, std::span<const VertexId> cand,
               std::span<const std::uint64_t> and_words, unsigned remaining,
               std::vector<std::vector<VertexId>>& cand_scratch,
               std::vector<std::vector<std::uint64_t>>& word_scratch, unsigned depth) {
@@ -74,21 +75,25 @@ double bf_rec(const Backend& be, std::span<const VertexId> cand,
   double total = 0.0;
   auto& next_cand = cand_scratch[depth];
   auto& next_words = word_scratch[depth];
-  for (const VertexId u : cand) {
+  if (next_cand.size() < cand.size()) next_cand.resize(cand.size());
+  for (std::size_t j = 0; j < cand.size(); ++j) {
+    const VertexId u = cand[j];
     const auto wu = be.words(u);
     // Fold u's filter into the running AND.
     next_words.assign(and_words.begin(), and_words.end());
     for (std::size_t i = 0; i < next_words.size(); ++i) next_words[i] &= wu[i];
     // Approximate candidate refinement via membership in the chain so far:
-    // x stays iff its bits are set in the AND (i.e. x "in" every chosen BF).
-    const BloomFilterView chain(next_words, be.bits, be.hashes, be.family);
-    next_cand.clear();
-    for (const VertexId x : cand) {
-      if (x != u && chain.contains(x)) next_cand.push_back(x);
+    // x stays iff x != u and its bits are set in the AND (i.e. x "in" every
+    // chosen BF) — the candidates before u, then the ones after it. The
+    // closing level reads only the AND, so its candidates are not filtered.
+    std::size_t kept = 0;
+    if (remaining > 1) {
+      kept = probes.filter(next_words, cand.first(j), next_cand.data());
+      kept += probes.filter(next_words, cand.subspan(j + 1), next_cand.data() + kept);
+      if (kept == 0) continue;
     }
-    if (next_cand.empty() && remaining > 1) continue;
-    total += bf_rec(be, next_cand, next_words, remaining - 1, cand_scratch,
-                    word_scratch, depth + 1);
+    total += bf_rec(be, probes, {next_cand.data(), kept}, next_words, remaining - 1,
+                    cand_scratch, word_scratch, depth + 1);
   }
   return total;
 }
@@ -96,6 +101,10 @@ double bf_rec(const Backend& be, std::span<const VertexId> cand,
 template <typename Backend>
 double kclique_bf(const Backend be, const CsrGraph& dag, unsigned k) {
   const VertexId n = dag.num_vertices();
+  // At k = 3 the first level is already the closing one, which reads only
+  // the AND and filters no candidates, so it gets an empty table.
+  const BloomProbeTable probes =
+      k > 3 ? be.probe_table() : BloomProbeTable(0, be.bits, be.hashes, be.family);
   double total = 0.0;
 #pragma omp parallel reduction(+ : total)
   {
@@ -105,7 +114,7 @@ double kclique_bf(const Backend be, const CsrGraph& dag, unsigned k) {
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
       const auto nv = dag.neighbors(static_cast<VertexId>(v));
       if (nv.empty()) continue;
-      total += bf_rec(be, nv, be.words(static_cast<VertexId>(v)), k - 2, cand_scratch,
+      total += bf_rec(be, probes, nv, be.words(static_cast<VertexId>(v)), k - 2, cand_scratch,
                       word_scratch, 0);
     }
   }

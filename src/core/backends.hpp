@@ -157,6 +157,13 @@ struct BloomBackendBase : SketchBackendBase<Derived> {
     return {words(v), bits, hashes, family};
   }
 
+  /// A probe table over every vertex id of the substrate, for the batched
+  /// membership filters of the clique kernels (built once per query; see
+  /// BloomProbeTable).
+  [[nodiscard]] BloomProbeTable probe_table() const {
+    return {this->graph->num_vertices(), bits, hashes, family};
+  }
+
   /// Per-thread scratch for the batched popcount sweeps (reused across the
   /// millions of batches an algorithm sweep issues on each thread).
   [[nodiscard]] static std::vector<std::uint64_t>& counts_scratch(std::size_t n) {

@@ -5,6 +5,27 @@
 
 namespace probgraph {
 
+BloomProbeTable::BloomProbeTable(VertexId n, std::uint64_t bits, std::uint32_t num_hashes,
+                                 util::HashFamily family)
+    : num_hashes_(num_hashes) {
+  if (bits == 0 || num_hashes == 0) {
+    throw std::invalid_argument("BloomProbeTable: width and hash count must be positive");
+  }
+  if (bits > (std::uint64_t{1} << 32)) {
+    throw std::invalid_argument("BloomProbeTable: positions of a filter wider than 2^32 bits "
+                                "do not fit 32 bits");
+  }
+  pos_.resize(static_cast<std::size_t>(n) * num_hashes);
+  std::uint32_t* const pos = pos_.data();
+#pragma omp parallel for schedule(static)
+  for (std::int64_t x = 0; x < static_cast<std::int64_t>(n); ++x) {
+    for (std::uint32_t i = 0; i < num_hashes; ++i) {
+      pos[static_cast<std::size_t>(x) * num_hashes + i] =
+          static_cast<std::uint32_t>(family(i, static_cast<std::uint64_t>(x)) % bits);
+    }
+  }
+}
+
 BloomFilter::BloomFilter(std::uint64_t bits, std::uint32_t num_hashes, std::uint64_t seed)
     : bits_(bits), num_hashes_(num_hashes), family_(seed) {
   if (bits == 0) throw std::invalid_argument("BloomFilter: width must be positive");

@@ -11,11 +11,18 @@
 //                        all n per-vertex filters share one allocation and
 //                        one width (the load-balancing property of Fig. 1
 //                        panel 5).
+//
+// BloomProbeTable is the batch form of `contains` for those arena filters:
+// since they all share (B, b, family), the bit positions of an id are the
+// same in every filter, so one table of them answers membership in any
+// filter of the substrate (and in ANDs of them) without hashing.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
+#include "core/kernels/kernels.hpp"
 #include "util/bitvector.hpp"
 #include "util/hash.hpp"
 #include "util/types.hpp"
@@ -63,6 +70,34 @@ class BloomFilterView {
   std::uint64_t bits_;
   std::uint32_t num_hashes_;
   util::HashFamily family_;
+};
+
+/// Per-query probe table over ids [0, n) for filters of width `bits` and
+/// hash family (num_hashes, family): row x holds x's b bit positions
+/// h_i(x) mod B as uint32. Built in parallel, O(n·b) hashes, 4·n·b bytes.
+/// The BF clique kernels build one per query (it is not cached or stored
+/// in a snapshot) and push every C3 candidate filter through
+/// kernels::bloom_member_compact, which then costs b loads per probe
+/// instead of b hashes, b 64-bit divisions and a branch.
+class BloomProbeTable {
+ public:
+  /// Throws std::invalid_argument for bits == 0, num_hashes == 0, or a
+  /// width whose positions do not fit 32 bits (bits > 2^32).
+  BloomProbeTable(VertexId n, std::uint64_t bits, std::uint32_t num_hashes,
+                  util::HashFamily family);
+
+  /// Writes to `out`, in order, every candidate whose bits are all set in
+  /// `words` (a filter of this family, or an AND of such filters); returns
+  /// how many. Every candidate must be < n; `out` needs room for
+  /// cands.size() entries.
+  std::size_t filter(std::span<const std::uint64_t> words, std::span<const VertexId> cands,
+                     VertexId* out) const noexcept {
+    return kernels::bloom_member_compact(words.data(), pos_.data(), num_hashes_, cands, out);
+  }
+
+ private:
+  std::vector<std::uint32_t> pos_;
+  std::uint32_t num_hashes_;
 };
 
 /// Owning Bloom filter.

@@ -432,4 +432,38 @@ struct MinMergeResult {
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Bloom membership compaction: the candidate filter of the BF clique
+// kernels (C3 = N+v filtered by BF(N+u), and kclique's chained refinement).
+// Scalar by contract, like galloping: the loop is bound by the dependent
+// loads of a probe row and its filter words, not by arithmetic. It has no
+// dispatch-table entry; a per-level (gather + compress) variant earns one
+// only by measuring faster than this loop in bench/table4.
+// ---------------------------------------------------------------------------
+
+/// Writes to `out`, in input order, every candidate x whose b probe
+/// positions are all set in `words`, and returns how many it wrote. Row x
+/// of `probes` holds x's b bit positions h_i(x) mod B (a BloomProbeTable,
+/// core/bloom_filter.hpp), so a probe is b loads and ANDs — no hash, no
+/// division, no data-dependent branch. Same answer as
+/// BloomFilterView::contains for every candidate. `out` needs room for
+/// cands.size() entries.
+inline std::size_t bloom_member_compact(const std::uint64_t* words,
+                                        const std::uint32_t* probes, std::uint32_t b,
+                                        std::span<const VertexId> cands,
+                                        VertexId* out) noexcept {
+  PROBGRAPH_OBS_KERNEL_BATCH(kBloomMemberCompact, 1, cands.size());
+  // PROBGRAPH_HOT_PATH_BEGIN(bloom-member-compact)
+  std::size_t kept = 0;
+  for (const VertexId x : cands) {
+    const std::uint32_t* pos = probes + static_cast<std::size_t>(x) * b;
+    std::uint64_t hit = 1;
+    for (std::uint32_t i = 0; i < b; ++i) hit &= words[pos[i] >> 6] >> (pos[i] & 63);
+    out[kept] = x;  // always stored; the cursor moves past members only
+    kept += hit;
+  }
+  return kept;
+  // PROBGRAPH_HOT_PATH_END(bloom-member-compact)
+}
+
 }  // namespace probgraph::kernels

@@ -621,6 +621,9 @@ std::size_t run_blocking_session(SessionHost& host, const SessionRead& read,
   // 16 KiB stack array under the engine made exact clustering 10-15% slower
   // (measured on a scale-16 graph at 4 OpenMP threads).
   std::vector<char> buf(kReadChunk);
+  // Queries whose replies were written: a failed write delivered none of
+  // its pump's replies, so the count stays where the last good write left it.
+  std::size_t delivered = 0;
   while (!session.done()) {
     const long got = read(buf.data(), buf.size());
     if (got > 0) {
@@ -632,8 +635,9 @@ std::size_t run_blocking_session(SessionHost& host, const SessionRead& read,
     std::string& out = session.output();
     if (!out.empty() && !write(out)) break;  // peer gone: end quietly
     out.clear();
+    delivered = session.answered();
   }
-  return session.answered();
+  return delivered;
 }
 
 }  // namespace probgraph::engine

@@ -276,7 +276,8 @@ using SessionWrite = std::function<bool(std::string_view bytes)>;
 /// frames and engine errors become "err" replies and the session keeps
 /// serving. Ends at quit, at EOF once every buffered request is answered,
 /// or on a failed write (quietly — a gone peer is a normal ending).
-/// Returns Session::answered().
+/// Returns the Session::answered() count of the queries whose replies were
+/// written: the replies of a failed write are not counted.
 std::size_t run_blocking_session(SessionHost& host, const SessionRead& read,
                                  const SessionWrite& write,
                                  const ServeOptions& opts = {},

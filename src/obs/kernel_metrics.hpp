@@ -29,6 +29,7 @@ enum class KernelOp : std::uint8_t {
   kPopcount,
   kMatchCountU64,
   kMinMerge,
+  kBloomMemberCompact,
   kCount_,  // sentinel
 };
 
@@ -39,13 +40,14 @@ inline constexpr const char* kKernelOpNames[kNumKernelOps] = {
     "intersect_count_merge", "intersect_count_gallop", "intersect_into_merge",
     "intersect_into_gallop", "and_popcount",           "or_popcount",
     "and3_popcount",         "popcount",               "match_count_u64",
-    "min_merge",
+    "min_merge",             "bloom_member_compact",
 };
 
 /// Process-global tallies. constinit: usable from any static initializer
 /// and free of guard checks on the hot path. "elements" is the op's input
 /// size — list lengths for intersections, words for popcounts, slots for
-/// match/min-merge — i.e. the work metric, not the result.
+/// match/min-merge, probed candidates for the Bloom membership compaction —
+/// i.e. the work metric, not the result.
 struct KernelCounters {
   Counter invocations[kNumKernelOps];
   Counter elements[kNumKernelOps];

@@ -4,6 +4,9 @@
 
 #include <vector>
 
+#include "core/backends.hpp"
+#include "graph/generators.hpp"
+#include "obs/kernel_metrics.hpp"
 #include "util/rng.hpp"
 
 namespace probgraph {
@@ -116,6 +119,98 @@ TEST_P(BloomHashSweep, InsertContainsInvariant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(HashCounts, BloomHashSweep, ::testing::Values(1, 2, 3, 4, 8));
+
+// --- BloomProbeTable: the batched membership filter of the clique kernels. ---
+
+/// The candidates of `cands` that `view.contains`, in order — what the
+/// probe table's compaction must reproduce exactly.
+std::vector<VertexId> contains_filter(const BloomFilterView& view,
+                                      const std::vector<VertexId>& cands) {
+  std::vector<VertexId> kept;
+  for (const VertexId x : cands) {
+    if (view.contains(x)) kept.push_back(x);
+  }
+  return kept;
+}
+
+std::vector<VertexId> table_filter(const BloomProbeTable& table, const BloomFilterView& view,
+                                   const std::vector<VertexId>& cands) {
+  std::vector<VertexId> out(cands.size());
+  out.resize(table.filter(view.words(), cands, out.data()));
+  return out;
+}
+
+TEST(BloomProbeTable, MatchesContainsOnRandomFilters) {
+  // Widths: one word, three words, a width that is not a multiple of 64
+  // and the ProbGraph rounding of it (1000 -> 960), and a wide filter;
+  // b = 3 takes the run-time-b path of the kernel.
+  constexpr VertexId kIds = 5000;
+  for (const std::uint64_t bits : {64u, 192u, 960u, 1000u, 4096u}) {
+    for (const std::uint32_t b : {1u, 2u, 3u, 4u}) {
+      const std::uint64_t seed = bits * 31 + b;
+      const BloomProbeTable table(kIds, bits, b, util::HashFamily(seed));
+      util::Xoshiro256 rng(seed);
+      for (int trial = 0; trial < 8; ++trial) {
+        BloomFilter bf(bits, b, seed);
+        const auto inserts = rng.bounded(bits / 2 + 1);
+        for (std::uint64_t i = 0; i < inserts; ++i) {
+          bf.insert(static_cast<VertexId>(rng.bounded(kIds)));
+        }
+        std::vector<VertexId> cands(1 + rng.bounded(700));
+        for (VertexId& x : cands) x = static_cast<VertexId>(rng.bounded(kIds));
+        const std::vector<VertexId> expected = contains_filter(bf.view(), cands);
+        EXPECT_EQ(table_filter(table, bf.view(), cands), expected)
+            << "bits=" << bits << " b=" << b << " trial=" << trial;
+      }
+    }
+  }
+}
+
+TEST(BloomProbeTable, MatchesContainsOnProbGraphFilters) {
+  // The probe table of a substrate (the one the clique kernels build)
+  // answers for every one of its filters.
+  const CsrGraph g = gen::kronecker(9, 8.0, 4);
+  ProbGraphConfig cfg;
+  cfg.bf_bits = 1000;  // rounded down to 960 by the ProbGraph
+  cfg.bf_hashes = 2;
+  const ProbGraph pg(g, cfg);
+  ASSERT_EQ(pg.bf_bits(), 960u);
+  const BloomProbeTable table = pg.backend<BloomAndBackend>().probe_table();
+  std::vector<VertexId> all(g.num_vertices());
+  for (VertexId x = 0; x < g.num_vertices(); ++x) all[x] = x;
+  for (VertexId v = 0; v < g.num_vertices(); v += 7) {
+    EXPECT_EQ(table_filter(table, pg.bf(v), all), contains_filter(pg.bf(v), all)) << v;
+  }
+}
+
+TEST(BloomProbeTable, RejectsWidthsItCannotIndex) {
+  const util::HashFamily family(1);
+  EXPECT_THROW(BloomProbeTable(4, 0, 1, family), std::invalid_argument);
+  EXPECT_THROW(BloomProbeTable(4, 64, 0, family), std::invalid_argument);
+  EXPECT_THROW(BloomProbeTable(0, (std::uint64_t{1} << 32) + 64, 1, family),
+               std::invalid_argument);
+  EXPECT_NO_THROW(BloomProbeTable(0, std::uint64_t{1} << 32, 1, family));
+}
+
+TEST(BloomProbeTable, CompactionTalliesOneCallAndEveryProbe) {
+  const std::size_t op = static_cast<std::size_t>(obs::KernelOp::kBloomMemberCompact);
+  const std::uint64_t calls_before = obs::g_kernel_counters.invocations[op].value();
+  const std::uint64_t probes_before = obs::g_kernel_counters.elements[op].value();
+  BloomFilter bf(256, 2, 9);
+  bf.insert(3);
+  const BloomProbeTable table(16, 256, 2, util::HashFamily(9));
+  const std::vector<VertexId> cands = {1, 3, 5, 7, 9};
+  EXPECT_EQ(table_filter(table, bf.view(), cands), contains_filter(bf.view(), cands));
+  const std::uint64_t calls = obs::g_kernel_counters.invocations[op].value() - calls_before;
+  const std::uint64_t probes = obs::g_kernel_counters.elements[op].value() - probes_before;
+#if defined(PROBGRAPH_OBS) && PROBGRAPH_OBS
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(probes, cands.size());
+#else
+  EXPECT_EQ(calls, 0u);
+  EXPECT_EQ(probes, 0u);
+#endif
+}
 
 }  // namespace
 }  // namespace probgraph

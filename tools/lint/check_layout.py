@@ -20,8 +20,9 @@ Three rules, all cheap enough to run in every CI job:
 3. Hot-path regions: code between `// PROBGRAPH_HOT_PATH_BEGIN(name)` and
    `// PROBGRAPH_HOT_PATH_END(name)` markers must not allocate, lock, or
    grow containers (denylist below). The markers fence the LiveEngine pin
-   path and the lock-free instrument record paths; the EXPECTED_REGIONS
-   set pins the markers themselves so deleting one is also a lint failure.
+   path, the lock-free instrument record paths and the Bloom membership
+   compaction kernel; the EXPECTED_REGIONS set pins the markers themselves
+   so deleting one is also a lint failure.
 
 Exit status 0 iff every rule passes. No dependencies beyond the stdlib.
 """
@@ -43,6 +44,7 @@ MUTEX_TOKENS = re.compile(
 )
 
 EXPECTED_REGIONS = {
+    "src/core/kernels/kernels.hpp": ["bloom-member-compact"],
     "src/engine/generation.hpp": ["live-pin"],
     "src/obs/instruments.hpp": ["counter-add", "gauge-set", "histogram-observe"],
 }
