@@ -9,9 +9,8 @@
 //   BloomFilterView::contains. The kept lists, their order and every
 //   popcount are the same as with contains.
 // * Thread-count-independent sums. The BF and MinHash estimators add
-//   their terms in fixed blocks of 32 u-vertices, one partial per block,
-//   and add the partials in block order (fixed_block_sum), so the
-//   estimate is bit-identical at any OMP_NUM_THREADS.
+//   their terms through util::fixed_block_sum, so the estimate is
+//   bit-identical at any OMP_NUM_THREADS.
 #include "algorithms/clique_count.hpp"
 
 #include <algorithm>
@@ -27,6 +26,7 @@
 #include "core/kernels/kernels.hpp"
 #include "graph/orientation.hpp"
 #include "util/bitvector.hpp"
+#include "util/block_sum.hpp"
 
 namespace probgraph::algo {
 
@@ -57,40 +57,10 @@ std::uint64_t four_clique_count_exact(const CsrGraph& g) {
 
 namespace {
 
-/// u-vertices per summation block of the sketch estimators.
-constexpr std::int64_t kSumBlock = 32;
-
-/// Σ over u < n of the terms `add(u, acc)` adds into `acc`, independent of
-/// the thread count: each fixed block of kSumBlock u-vertices is summed in
-/// u order into its own partial, and the partials are added in block order
-/// (the blocks are handed out dynamically, as schedule(dynamic, 32) handed
-/// out u-vertices). `make_adder` runs once per thread and returns that
-/// thread's `add`, which owns the thread's scratch. A graph of at most
-/// kSumBlock vertices is one block: the plain sequential sum.
-template <typename MakeAdder>
-double fixed_block_sum(VertexId n, MakeAdder make_adder) {
-  const std::int64_t blocks = (static_cast<std::int64_t>(n) + kSumBlock - 1) / kSumBlock;
-  std::vector<double> partial(static_cast<std::size_t>(blocks), 0.0);
-#pragma omp parallel
-  {
-    auto add = make_adder();
-#pragma omp for schedule(dynamic, 1)
-    for (std::int64_t block = 0; block < blocks; ++block) {
-      const std::int64_t end = std::min<std::int64_t>(n, (block + 1) * kSumBlock);
-      double acc = 0.0;
-      for (std::int64_t u = block * kSumBlock; u < end; ++u) add(static_cast<VertexId>(u), acc);
-      partial[static_cast<std::size_t>(block)] = acc;
-    }
-  }
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total;
-}
-
 template <typename Backend>
 double four_clique_bf(const CsrGraph& dag, const Backend be) {
   const BloomProbeTable probes = be.probe_table();
-  return fixed_block_sum(dag.num_vertices(), [&] {
+  return util::fixed_block_sum(dag.num_vertices(), [&] {
     return [&dag, &be, &probes, c3_buf = std::vector<VertexId>(),
             uv = std::vector<std::uint64_t>(),
             counts = std::vector<std::uint64_t>()](VertexId u, double& acc) mutable {
@@ -124,7 +94,7 @@ double four_clique_bf(const CsrGraph& dag, const Backend be) {
 
 template <typename Backend>
 double four_clique_mh(const CsrGraph& dag, const Backend be) {
-  return fixed_block_sum(dag.num_vertices(), [&] {
+  return util::fixed_block_sum(dag.num_vertices(), [&] {
     return [&dag, &be, c3s = std::vector<VertexId>()](VertexId u, double& acc) mutable {
       for (const VertexId v : dag.neighbors(u)) {
         const double est_c3 = be.sampled_intersection(u, v, c3s);

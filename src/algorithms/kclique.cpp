@@ -10,6 +10,7 @@
 #include "core/intersect.hpp"
 #include "graph/orientation.hpp"
 #include "util/bitvector.hpp"
+#include "util/block_sum.hpp"
 
 namespace probgraph::algo {
 
@@ -100,25 +101,21 @@ double bf_rec(const Backend& be, const BloomProbeTable& probes, std::span<const 
 
 template <typename Backend>
 double kclique_bf(const Backend be, const CsrGraph& dag, unsigned k) {
-  const VertexId n = dag.num_vertices();
   // At k = 3 the first level is already the closing one, which reads only
   // the AND and filters no candidates, so it gets an empty table.
   const BloomProbeTable probes =
       k > 3 ? be.probe_table() : BloomProbeTable(0, be.bits, be.hashes, be.family);
-  double total = 0.0;
-#pragma omp parallel reduction(+ : total)
-  {
-    std::vector<std::vector<VertexId>> cand_scratch(k);
-    std::vector<std::vector<std::uint64_t>> word_scratch(k);
-#pragma omp for schedule(dynamic, 16)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      const auto nv = dag.neighbors(static_cast<VertexId>(v));
-      if (nv.empty()) continue;
-      total += bf_rec(be, probes, nv, be.words(static_cast<VertexId>(v)), k - 2, cand_scratch,
-                      word_scratch, 0);
-    }
-  }
-  return total;
+  // The per-v recursions add up through util::fixed_block_sum, so the
+  // estimate does not depend on the thread count.
+  return util::fixed_block_sum(dag.num_vertices(), [&] {
+    return [&dag, &be, &probes, k, cand_scratch = std::vector<std::vector<VertexId>>(k),
+            word_scratch = std::vector<std::vector<std::uint64_t>>(k)](
+               VertexId v, double& acc) mutable {
+      const auto nv = dag.neighbors(v);
+      if (nv.empty()) return;
+      acc += bf_rec(be, probes, nv, be.words(v), k - 2, cand_scratch, word_scratch, 0);
+    };
+  });
 }
 
 }  // namespace

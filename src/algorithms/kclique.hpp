@@ -33,6 +33,7 @@ namespace probgraph::algo {
 
 /// ProbGraph k-clique estimate; `pg` must be a Bloom-filter ProbGraph built
 /// over the degree-oriented DAG. Throws std::invalid_argument otherwise.
+/// Bit-identical at any OpenMP thread count.
 [[nodiscard]] double kclique_count_probgraph(const ProbGraph& pg, unsigned k);
 
 }  // namespace probgraph::algo

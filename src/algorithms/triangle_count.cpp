@@ -6,6 +6,7 @@
 #include "core/backends.hpp"
 #include "core/intersect.hpp"
 #include "graph/orientation.hpp"
+#include "util/block_sum.hpp"
 
 namespace probgraph::algo {
 
@@ -51,32 +52,30 @@ namespace {
 /// Sketch-estimated node-iterator sum, monomorphized per backend: each
 /// vertex's qualifying neighbors are scored through one batched
 /// est_intersection sweep (candidate rows stream while v's sketch stays
-/// hot), then accumulated in neighbor order — bit-identical to the old
-/// per-pair loop.
+/// hot), then accumulated in neighbor order. The per-vertex sums add up
+/// through util::fixed_block_sum, so the estimate does not depend on the
+/// thread count.
 template <typename Backend>
 double tc_estimate_loop(const CsrGraph& g, const Backend be, TcMode mode) {
-  const VertexId n = g.num_vertices();
-  double total = 0.0;
-#pragma omp parallel reduction(+ : total)
-  {
-    std::vector<double> scores;  // per-thread batch output
-#pragma omp for schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      auto cands = g.neighbors(static_cast<VertexId>(v));
+  const double total = util::fixed_block_sum(g.num_vertices(), [&] {
+    // scores: the thread's batch output. `be` is captured by value: each
+    // thread's own copy stays in registers, where the by-reference capture
+    // ran the sketch tc 5-10% slower (scale-16 R-MAT, 4 threads).
+    return [&g, be, mode, scores = std::vector<double>()](VertexId v, double& acc) mutable {
+      auto cands = g.neighbors(v);
       if (mode == TcMode::kFull) {
         // Sorted neighborhoods: the u > v half is the suffix past v.
-        const auto first = std::upper_bound(cands.begin(), cands.end(),
-                                            static_cast<VertexId>(v));
+        const auto first = std::upper_bound(cands.begin(), cands.end(), v);
         cands = cands.subspan(static_cast<std::size_t>(first - cands.begin()));
       }
-      if (cands.empty()) continue;
+      if (cands.empty()) return;
       scores.resize(cands.size());
-      be.est_intersection_batch(static_cast<VertexId>(v), cands, scores.data());
+      be.est_intersection_batch(v, cands, scores.data());
       double local = 0.0;
       for (const double s : scores) local += s;
-      total += local;
-    }
-  }
+      acc += local;
+    };
+  });
   return mode == TcMode::kFull ? total / 3.0 : total;
 }
 

@@ -40,6 +40,7 @@ enum class TcMode : std::uint8_t {
 
 /// ProbGraph triangle-count estimate. `pg` must have been constructed over
 /// the graph matching `mode` (the DAG for kOriented, G for kFull).
+/// Bit-identical at any OpenMP thread count.
 [[nodiscard]] double triangle_count_probgraph(const ProbGraph& pg,
                                               TcMode mode = TcMode::kOriented);
 

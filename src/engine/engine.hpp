@@ -40,8 +40,9 @@
 //
 // This is the substrate of `pgtool serve`: map the snapshot once, run an
 // Engine over it, answer arbitrarily many queries with zero per-query
-// setup. The one-shot pgtool commands are thin parsers producing a Query
-// for the same Engine, so one-shot and served results are bit-identical.
+// setup. `pgtool query` parses its one request with the same protocol
+// parser and runs it on the same Engine, so one-shot and served results
+// are bit-identical.
 //
 // Thread safety: an Engine is immutable after construction — no mutex, no
 // lazily filled member — so any number of threads may call run() and

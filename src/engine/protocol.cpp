@@ -306,7 +306,7 @@ std::string format_estimate(double v) {
   return buf;
 }
 
-std::string format_reply(const QueryResult& r) {
+std::string format_reply(const QueryResult& r, bool report_time) {
   std::string reply = "ok\t";
   reply += r.name;
   const auto field = [&reply](const char* key, const std::string& value) {
@@ -321,22 +321,23 @@ std::string format_reply(const QueryResult& r) {
     field("\tdavg=", format_estimate(s.avg_degree));
     field("\td2=", format_estimate(s.degree_moment2));
     field("\td3=", format_estimate(s.degree_moment3));
-    return reply;
-  }
-  if (r.cluster) {
+  } else if (r.cluster) {
     field("\tclusters=", std::to_string(r.cluster->num_clusters));
     field("\tkept_edges=", std::to_string(r.cluster->kept_edges));
-    return reply;
-  }
-  if (std::string_view(r.name) == "pair" || std::string_view(r.name) == "lp") {
+  } else if (std::string_view(r.name) == "pair" || std::string_view(r.name) == "lp") {
     for (const PairValue& p : r.pairs) {
       field("\t", std::to_string(p.u));
       field(":", std::to_string(p.v));
       field("=", format_estimate(p.value));
     }
-    return reply;
+  } else {
+    field("\t", format_estimate(r.value));
   }
-  field("\t", format_estimate(r.value));
+  if (report_time) {
+    // r.elapsed_seconds: the algorithm alone, not the session's wall time.
+    field("\telapsed_us=",
+          std::to_string(static_cast<long long>(std::llround(r.elapsed_seconds * 1e6))));
+  }
   return reply;
 }
 
@@ -517,19 +518,12 @@ void Session::flush_batch() {
       continue;
     }
     const QueryResult& r = *item.result;
-    std::string reply = format_reply(r);
-    if (batch_[k].report_time) {
-      // r.elapsed_seconds (the algorithm alone) is the number the reply
-      // documents; the slow-query check below uses the full
-      // wall time, which is what the session actually waited.
-      reply += "\telapsed_us=";
-      reply += std::to_string(
-          static_cast<long long>(std::llround(r.elapsed_seconds * 1e6)));
-    }
+    // The time clause reports the algorithm alone (format_reply); the
+    // slow-query check uses the full wall time the session waited.
     if (opts_.slow_query_seconds > 0 && item.wall_seconds >= opts_.slow_query_seconds) {
       log_slow_query(batch_[k].line, r, item.wall_seconds);
     }
-    emit(reply);
+    emit(format_reply(r, batch_[k].report_time));
     ++answered_;
   }
   batch_.clear();

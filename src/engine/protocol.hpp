@@ -69,10 +69,12 @@
 //                                                 answer — never a crash
 //   bye                                           reply to quit/exit
 //
-// Replies are deterministic for a fixed snapshot and thread count: no
-// timing or other run-varying data. Estimates print with 12 significant
-// digits — identical strings to the one-shot pgtool commands, which format
-// through the same helper, while staying stable across libm versions.
+// Replies are deterministic for a fixed snapshot: no timing or other
+// run-varying data, and the estimates that sum over the graph (tc, cc,
+// 4cc, kclique) add in fixed blocks, so they do not depend on the thread
+// count either. Estimates print with 12 significant digits, stable across
+// libm versions. `pgtool query` prints exactly these reply lines for one
+// request, so a one-shot answer and a served one are the same string.
 #pragma once
 
 #include <cstddef>
@@ -119,13 +121,14 @@ struct ParsedRequest {
 
 [[nodiscard]] ParsedRequest parse_request(std::string_view line);
 
-/// The shared estimate formatter (12 significant digits) — one-shot pgtool
-/// output and serve replies both go through this, so their values are
-/// comparable as strings.
+/// The shared estimate formatter (12 significant digits) behind every
+/// reply value, and behind the bounds pgtool query prints on stderr.
 [[nodiscard]] std::string format_estimate(double v);
 
 /// One "ok\t..." reply line for an executed query (no trailing newline).
-[[nodiscard]] std::string format_reply(const QueryResult& r);
+/// `report_time` (the request's `time` clause) appends the final
+/// `elapsed_us=` field.
+[[nodiscard]] std::string format_reply(const QueryResult& r, bool report_time = false);
 
 /// One "err\t..." reply line.
 [[nodiscard]] std::string format_error(std::string_view message);

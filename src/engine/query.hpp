@@ -8,11 +8,11 @@
 // report alongside: a deviation bound where core/bounds provides one, the
 // query's wall time, and the sketch/backend metadata that produced it.
 //
-// Queries are plain data: front ends (the pgtool command registry, the
-// `pgtool serve` line protocol, library callers) construct them, the
+// Queries are plain data: front ends (the line protocol that `pgtool
+// serve` and `pgtool query` share, library callers) construct them, the
 // Engine (engine.hpp) executes them. Adding a query type means adding a
-// struct here, a runner in engine.cpp, and (optionally) a parser clause in
-// protocol.cpp — no new argv plumbing.
+// struct here, a runner in engine.cpp, and a parser clause in
+// protocol.cpp — no argv plumbing.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,7 @@ struct VertexPair {
 };
 
 // --- The query variants. `exact = true` bypasses the sketches and runs the
-// --- exact baseline (pgtool's `--sketch exact`); it needs no ProbGraph.
+// --- exact baseline (the protocol's `exact`); it needs no ProbGraph.
 // --- `sketch` routes the query to a specific sketch substrate (the
 // --- protocol's `kind=` clause): a multi-substrate .pgs snapshot can carry
 // --- several sketch kinds per orientation, and nullopt means "the file's

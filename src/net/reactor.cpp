@@ -69,6 +69,13 @@ constexpr int kMaxIov = 64;
 struct EpollServer::Conn {
   enum class State : std::uint8_t { kIdle, kQueued, kRunning };
 
+  /// One turn's reply bytes and the queries they answer: the answers count
+  /// in queries_answered only once the whole chunk has been written.
+  struct OutChunk {
+    std::string bytes;
+    std::size_t answered = 0;
+  };
+
   Conn(std::unique_ptr<engine::SessionHost> h, const ServeOptions& opts)
       : host(std::move(h)), session(*host, opts.session, opts.max_line_bytes) {}
 
@@ -79,9 +86,9 @@ struct EpollServer::Conn {
   State state = State::kIdle;       // guarded by mu_
   bool read_pending = false;        // an epoll event queued this turn: drain the fd
   bool peer_eof = false;
-  std::deque<std::string> outq;     // flushed chunks, front partially written
-  std::size_t out_off = 0;          // bytes of outq.front() already written
-  std::size_t answered_tallied = 0; // Session::answered() already counted
+  std::deque<OutChunk> outq;        // flushed chunks, front partially written
+  std::size_t out_off = 0;          // bytes of outq.front().bytes already written
+  std::size_t answered_queued = 0;  // Session::answered() already put in outq
 };
 
 EpollServer::EpollServer(const ServeOptions& opts)
@@ -248,13 +255,14 @@ EpollServer::Turn EpollServer::run_turn(Conn& conn) {
   if (processed > 0) {
     metrics.batch_size->observe(static_cast<double>(processed));
   }
-  const std::size_t answered = conn.session.answered();
-  queries_answered_ += answered - conn.answered_tallied;
-  conn.answered_tallied = answered;
 
-  // 3. Flush: the turn's replies leave as ONE gathered write.
+  // 3. Flush: the turn's replies leave as ONE gathered write. A reply
+  // counts as answered when its chunk is fully written, never at pump time:
+  // a chunk dropped with the connection delivered nothing.
   if (!conn.session.output().empty()) {
-    conn.outq.push_back(std::move(conn.session.output()));
+    const std::size_t answered = conn.session.answered();
+    conn.outq.push_back({std::move(conn.session.output()), answered - conn.answered_queued});
+    conn.answered_queued = answered;
     conn.session.output().clear();
   }
   while (!io_error && !conn.outq.empty()) {
@@ -263,8 +271,8 @@ EpollServer::Turn EpollServer::run_turn(Conn& conn) {
     std::size_t off = conn.out_off;
     for (auto it = conn.outq.begin(); it != conn.outq.end() && niov < kMaxIov;
          ++it, ++niov) {
-      iov[niov].iov_base = it->data() + off;
-      iov[niov].iov_len = it->size() - off;
+      iov[niov].iov_base = it->bytes.data() + off;
+      iov[niov].iov_len = it->bytes.size() - off;
       off = 0;
     }
     msghdr msg{};
@@ -279,9 +287,10 @@ EpollServer::Turn EpollServer::run_turn(Conn& conn) {
     }
     std::size_t left = static_cast<std::size_t>(wrote);
     while (left > 0) {
-      const std::size_t avail = conn.outq.front().size() - conn.out_off;
+      const std::size_t avail = conn.outq.front().bytes.size() - conn.out_off;
       if (left >= avail) {
         left -= avail;
+        queries_answered_ += conn.outq.front().answered;
         conn.outq.pop_front();
         conn.out_off = 0;
       } else {
@@ -409,8 +418,9 @@ void EpollServer::run() {
   cv_.notify_all();
   for (auto& t : pool) t.join();
 
-  // Every remaining session dies here — counters tallied, Session
-  // destructors record the per-session metrics, fds close.
+  // Every remaining session dies here — replies still queued were never
+  // delivered and stay uncounted; Session destructors record the
+  // per-session metrics, fds close.
   std::unordered_set<Conn*> leftovers;
   {
     util::MutexLock lock(mu_);
@@ -419,7 +429,6 @@ void EpollServer::run() {
     reactor_metrics().ready_depth->set(0.0);
   }
   for (Conn* conn : leftovers) {
-    queries_answered_ += conn->session.answered() - conn->answered_tallied;
     conn->sock.shutdown_both();
     delete conn;
   }

@@ -91,7 +91,7 @@ class Transport {
   struct Counters {
     std::uint64_t accepted = 0;          ///< sessions served
     std::uint64_t rejected = 0;          ///< connections refused at capacity
-    std::uint64_t queries_answered = 0;  ///< successful replies, all sessions
+    std::uint64_t queries_answered = 0;  ///< successful replies written, all sessions
   };
   /// Exact after run() returns; a live snapshot while serving.
   [[nodiscard]] virtual Counters counters() const noexcept = 0;

@@ -13,9 +13,9 @@
 //      same fixture the CI smoke step pipes through a real `pgtool serve`
 //      process.
 //
-// The double-reduction kernels (TC, 4CC, kclique, cc) use
-// schedule(dynamic), so bitwise determinism across invocations needs a
-// fixed thread count: the suite pins OpenMP to one thread.
+// The graph-wide sums (TC, 4CC, kclique, cc) add in fixed blocks, so
+// their replies do not depend on the thread count; the suite still pins
+// OpenMP to one thread, the count the fixtures were recorded at.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -603,7 +603,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(info.param.tag); });
 
 TEST(EngineInMemory, NoKindsBuildsNoSketches) {
-  // What pgtool's --exact and stats one-shots construct.
+  // What `pgtool query` builds for an exact or stats request.
   const CsrGraph g = golden_graph();
   const engine::Engine e(golden_graph(), {}, /*symmetric=*/true, /*degree_oriented=*/true,
                          ProbGraphConfig{});

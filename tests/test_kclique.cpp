@@ -8,6 +8,7 @@
 #include "algorithms/triangle_count.hpp"
 #include "graph/generators.hpp"
 #include "graph/orientation.hpp"
+#include "util/threading.hpp"
 
 namespace probgraph::algo {
 namespace {
@@ -90,6 +91,28 @@ TEST_P(KCliqueSweep, BloomEstimateTracksExactOnDenseGraph) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ks, KCliqueSweep, ::testing::Values(3u, 4u, 5u));
+
+TEST(KCliqueProbGraph, BloomEstimatesAreIdenticalAtAnyThreadCount) {
+  // kron:12:16 (pgtool's generator seed): far more than one 32-vertex
+  // summation block, so an order-dependent sum would show in the low bits.
+  const CsrGraph dag = degree_orient(gen::kronecker(12, 16.0, 42));
+  ProbGraphConfig cfg;
+  cfg.storage_budget = 0.25;
+  const ProbGraph pg(dag, cfg);
+  for (const unsigned k : {4u, 5u}) {
+    double at_one = 0.0, at_four = 0.0;
+    {
+      const util::ThreadScope one(1);
+      at_one = kclique_count_probgraph(pg, k);
+    }
+    {
+      const util::ThreadScope four(4);
+      at_four = kclique_count_probgraph(pg, k);
+    }
+    EXPECT_GT(at_one, 0.0);
+    EXPECT_EQ(at_one, at_four) << "k=" << k;
+  }
+}
 
 }  // namespace
 }  // namespace probgraph::algo

@@ -16,19 +16,25 @@
 //     abrupt client disconnects mid-session — including with a half-
 //     flushed output buffer — and --max-conns capacity rejection;
 //   * reactor scheduling: the per-turn fairness bound (observable through
-//     the probgraph_reactor_turns_total counter) and a pipelining hog
-//     sharing a single worker with a victim session;
+//     the probgraph_reactor_turns_total counter), a pipelining hog
+//     sharing a single worker with a victim session, and replies still
+//     queued at a connection reset staying out of queries_answered;
 //   * lifecycle: quit ends one session and not the server; request_stop()
 //     unblocks parked sessions and run() joins them all.
 //
-// Replies are bitwise deterministic only at one OpenMP thread (the
-// double-reduction kernels use dynamic scheduling), so like
-// tests/test_engine.cpp the suite pins util::set_threads(1).
+// Like tests/test_engine.cpp the suite pins util::set_threads(1), the
+// thread count the golden fixtures were recorded at.
 #include "net/transport.hpp"
+
+#include <fcntl.h>
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -540,6 +546,58 @@ TEST(ServeNetEpoll, PipeliningHogSharesTheOnlyWorkerWithAVictim) {
   }
   EXPECT_EQ(ok_count, 200u);
   EXPECT_NE(hog_replies.find("bye\n"), std::string::npos);
+}
+
+TEST(ServeNetEpoll, RepliesLeftQueuedAtResetAreNotCountedAnswered) {
+  // A client pipelines stats requests until its writes stall and reads
+  // none: the reactor's output queue backs up and the connection parks on
+  // EPOLLOUT with replies still queued. Then the client resets the
+  // connection. Those queued replies were never delivered, so the
+  // server's queries_answered must stay below the frames the reactor
+  // pumped (the pipeline_batch_size histogram's sum: every frame here is
+  // an answerable stats query).
+  obs::Histogram& batch = obs::Registry::global().histogram(
+      "probgraph_reactor_pipeline_batch_size", "");
+  const double pumped_before = batch.snapshot().sum;
+  net::ServeOptions opts;
+  opts.workers = 1;
+  ServerFixture f(net::TransportKind::kEpoll, opts);
+  {
+    net::Socket rude = net::connect_to("127.0.0.1", f.server->port());
+    const int fd = rude.fd();
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    std::string chunk;
+    for (int i = 0; i < 4096; ++i) chunk += "stats\n";
+    // Write whole requests until the pipe has stayed full for 200 ms (or a
+    // 64 MiB safety cap): the server has stopped reading, i.e. parked.
+    std::size_t off = 0;
+    std::size_t sent = 0;
+    int stalls = 0;
+    while (stalls < 20 && sent < (std::size_t{64} << 20)) {
+      const ssize_t n = ::send(fd, chunk.data() + off, chunk.size() - off, MSG_NOSIGNAL);
+      if (n > 0) {
+        off = (off + static_cast<std::size_t>(n)) % chunk.size();
+        sent += static_cast<std::size_t>(n);
+        stalls = 0;
+      } else {
+        ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+        ++stalls;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+    // SO_LINGER 0: close() sends RST, discarding everything unread.
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset), 0);
+    rude.close();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  f.server->request_stop();
+  f.thread.join();
+
+  const double pumped = batch.snapshot().sum - pumped_before;
+  const auto answered = static_cast<double>(f.server->counters().queries_answered);
+  EXPECT_GT(pumped, 0.0);
+  EXPECT_LT(answered, pumped) << "replies queued at the reset were counted answered";
 }
 
 // --- Observability over the socket transport. ---

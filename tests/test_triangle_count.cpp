@@ -7,6 +7,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/orientation.hpp"
+#include "util/threading.hpp"
 
 namespace probgraph::algo {
 namespace {
@@ -139,6 +140,32 @@ TEST(TriangleCountProbGraph, ZeroOnTriangleFreeWithSaturatedSketch) {
   cfg.minhash_k = 128;
   const ProbGraph pg(dag, cfg);
   EXPECT_DOUBLE_EQ(triangle_count_probgraph(pg, TcMode::kOriented), 0.0);
+}
+
+TEST(TriangleCountProbGraph, SketchEstimatesAreIdenticalAtAnyThreadCount) {
+  // kron:12:16 (pgtool's generator seed): far more than one 32-vertex
+  // summation block, so an order-dependent sum would show in the low bits.
+  const CsrGraph g = gen::kronecker(12, 16.0, 42);
+  const CsrGraph dag = degree_orient(g);
+  for (const SketchKind kind : {SketchKind::kBloomFilter, SketchKind::kKHash}) {
+    for (const TcMode mode : {TcMode::kOriented, TcMode::kFull}) {
+      ProbGraphConfig cfg;
+      cfg.kind = kind;
+      cfg.storage_budget = 0.25;
+      const ProbGraph pg(mode == TcMode::kOriented ? dag : g, cfg);
+      double at_one = 0.0, at_four = 0.0;
+      {
+        const util::ThreadScope one(1);
+        at_one = triangle_count_probgraph(pg, mode);
+      }
+      {
+        const util::ThreadScope four(4);
+        at_four = triangle_count_probgraph(pg, mode);
+      }
+      EXPECT_GT(at_one, 0.0);
+      EXPECT_EQ(at_one, at_four) << to_string(kind) << " mode=" << static_cast<int>(mode);
+    }
+  }
 }
 
 }  // namespace

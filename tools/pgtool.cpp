@@ -1,16 +1,25 @@
 // pgtool — command-line front end for the ProbGraph library.
 //
-// Every subcommand is a thin parser producing a typed engine::Query that a
-// src/engine/ Engine executes (tools/pgtool.cpp owns no algorithm calls):
+// Every query runs through the one request grammar of src/engine/
+// protocol.hpp on an Engine (tools/pgtool.cpp owns no algorithm calls):
 //
-//   pgtool tc        <graph> [options]    triangle counting
-//   pgtool 4cc       <graph> [options]    4-clique counting
-//   pgtool kclique   <graph> --k-clique K [options]
-//   pgtool cluster   <graph> [options]    Jarvis-Patrick clustering
-//   pgtool cc        <graph> [options]    global clustering coefficient
-//   pgtool pair      <graph> --pairs U:V[,U:V...] [--kind KIND] [options]
-//   pgtool lp        <graph> [--topk K] [--measure M] [options]
-//   pgtool stats     <graph>              basic graph statistics
+//   pgtool query     <graph|file.pgs> [options] REQUEST...
+//                                         one-shot query: the words after
+//                                         the input form one protocol
+//                                         request line ("tc", "pair
+//                                         jaccard 0 1", "cluster jaccard
+//                                         0.1 exact", "tc kind=kmv", ...);
+//                                         stdout is exactly the reply line
+//                                         `pgtool serve` sends for that
+//                                         line on that source (exit 1 on
+//                                         an err reply), stderr the input
+//                                         banner and one detail line
+//                                         (timing, sketch, bound). A .pgs
+//                                         input is mmap'ed and served
+//                                         zero-copy; any other input is
+//                                         loaded and sketched in memory,
+//                                         building only the substrate the
+//                                         request reads
 //   pgtool build     <graph> -o <file.pgs> [--orient [both|dag|sym]]
 //                    [--kinds bf,kmv,...] [options]
 //                                         persist CSR + sketches to a
@@ -64,32 +73,20 @@
 //                                         scripted sessions work over the
 //                                         wire exactly like piped stdin
 //
-// <graph> is a path, or "kron:SCALE:EDGEFACTOR" for a generated graph.
-// Every command except build/serve also accepts `--snapshot <file.pgs>` in
-// place of <graph>: the snapshot is mmap'ed and estimates are served
-// zero-copy out of the mapping (sketch parameters then come from the file;
-// `--sketch KIND` routes to that sketch substrate of a multi-substrate
-// snapshot). Counting estimates need a DAG substrate (--orient or --orient
-// both); neighborhood queries (cluster, cc, pair, lp) need a symmetric
-// one. Flags are validated against the command: unknown, duplicate, or
-// inapplicable flags are rejected, not silently accepted.
+// <graph> is a path (edge list, or Matrix Market by its .mtx suffix), or
+// "kron:SCALE:EDGEFACTOR" for a generated graph. Flags are validated
+// against the command: unknown, duplicate, or inapplicable flags are
+// rejected, not silently accepted.
 //
 // Options:
-//   --sketch bf|1h|kh|kmv   representation (default bf; "exact" disables PG)
+//   --sketch bf|1h|kh|kmv   (build) representation (default bf)
 //   --estimator and|limit|or  BF intersection estimator (default and)
 //   --budget S              storage budget in [0,1] (default 0.25)
 //   --bf-hashes B           BF hash functions (default 2)
 //   --k K                   explicit MinHash/KMV k (overrides budget)
-//   --tau T                 clustering threshold (default 0.1)
-//   --measure M             jaccard|overlap|common|total|adamic|resource
-//   --kind K                pair estimate: intersection|jaccard|overlap|
-//                           common|total (default intersection)
-//   --pairs U:V[,U:V...]    pair: the batch of vertex pairs to score
-//   --topk K                lp: number of predicted links (default 10)
-//   --threads N             OpenMP thread count
 //   --seed S                sketch seed (default 42)
-//   --snapshot FILE         serve from a .pgs snapshot instead of <graph>
-//   -o, --output FILE       (build) snapshot output path
+//   --threads N             OpenMP thread count, N >= 1
+//   -o, --output FILE       (build/update) snapshot output path
 //   --orient [both|dag|sym] (build) sketch the degree-oriented DAG; "both"
 //                           packs the symmetric AND the DAG substrates
 //   --kinds K1,K2,...       (build) pack one substrate per sketch kind
@@ -98,11 +95,15 @@
 //                           works in both REPL and --listen modes
 //   --slow-ms N             (serve) log a structured slow-query line to
 //                           stderr for any query at or above N ms
+// The construction flags (--estimator, --budget, --bf-hashes, --k, --seed)
+// configure the sketches query builds for an in-memory graph; a .pgs input
+// carries its own, so they are rejected there.
 #include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -118,6 +119,7 @@
 #include <string_view>
 #include <thread>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -134,6 +136,7 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_http.hpp"
+#include "util/ascii.hpp"
 #include "util/threading.hpp"
 #include "util/timer.hpp"
 
@@ -150,33 +153,25 @@ enum : unsigned {
   kFBfHashes = 1u << 3,
   kFK = 1u << 4,
   kFSeed = 1u << 5,
-  kFKClique = 1u << 6,
-  kFTau = 1u << 7,
-  kFMeasure = 1u << 8,
-  kFThreads = 1u << 9,
-  kFSnapshot = 1u << 10,
-  kFOutput = 1u << 11,
-  kFOrient = 1u << 12,
-  kFPairs = 1u << 13,
-  kFKind = 1u << 14,
-  kFTopK = 1u << 15,
-  kFListen = 1u << 16,
-  kFMaxConns = 1u << 17,
-  kFKinds = 1u << 18,
-  kFMetricsPort = 1u << 19,
-  kFSlowMs = 1u << 20,
-  kFLive = 1u << 21,
-  kFDeltaLog = 1u << 22,
-  kFInserts = 1u << 23,
-  kFDeletes = 1u << 24,
-  kFApplyLog = 1u << 25,
-  kFTransport = 1u << 26,
+  kFThreads = 1u << 6,
+  kFOutput = 1u << 7,
+  kFOrient = 1u << 8,
+  kFListen = 1u << 9,
+  kFMaxConns = 1u << 10,
+  kFKinds = 1u << 11,
+  kFMetricsPort = 1u << 12,
+  kFSlowMs = 1u << 13,
+  kFLive = 1u << 14,
+  kFDeltaLog = 1u << 15,
+  kFInserts = 1u << 16,
+  kFDeletes = 1u << 17,
+  kFApplyLog = 1u << 18,
+  kFTransport = 1u << 19,
 };
 
-/// The sketch-construction flags shared by every command that may build or
-/// describe a ProbGraph.
-constexpr unsigned kSketchFlags =
-    kFSketch | kFEstimator | kFBudget | kFBfHashes | kFK | kFSeed;
+/// The sketch-construction parameters: what `query` applies to an
+/// in-memory graph and `build` persists (build also takes --sketch).
+constexpr unsigned kConstructionFlags = kFEstimator | kFBudget | kFBfHashes | kFK | kFSeed;
 
 struct FlagSpec {
   const char* name;
@@ -192,16 +187,9 @@ constexpr FlagSpec kFlagSpecs[] = {
     {"--bf-hashes", nullptr, kFBfHashes, true},
     {"--k", nullptr, kFK, true},
     {"--seed", nullptr, kFSeed, true},
-    {"--k-clique", nullptr, kFKClique, true},
-    {"--tau", nullptr, kFTau, true},
-    {"--measure", nullptr, kFMeasure, true},
     {"--threads", nullptr, kFThreads, true},
-    {"--snapshot", nullptr, kFSnapshot, true},
     {"--output", "-o", kFOutput, true},
     {"--orient", nullptr, kFOrient, false},
-    {"--pairs", nullptr, kFPairs, true},
-    {"--kind", nullptr, kFKind, true},
-    {"--topk", nullptr, kFTopK, true},
     {"--listen", nullptr, kFListen, true},
     {"--max-conns", nullptr, kFMaxConns, true},
     {"--kinds", nullptr, kFKinds, true},
@@ -220,10 +208,10 @@ enum class OrientMode { kSym, kDag, kBoth };
 
 struct Args {
   std::string command;
-  std::string input;     // edge-list/mtx path, kron:S:E spec, serve's .pgs,
-                         // or client's <host>
+  std::string input;     // query's graph or .pgs, build's graph, serve's and
+                         // update's .pgs, or client's <host>
   std::string input2;    // second positional (client's <port>)
-  std::string snapshot;  // .pgs input (--snapshot on serving commands)
+  std::string request;   // query: the words after the input, space-joined
   std::string output;    // .pgs output (build)
   std::optional<std::uint16_t> listen;  // serve: TCP port (0 = ephemeral)
   int max_conns = 16;                   // serve --listen: live-session cap
@@ -237,62 +225,40 @@ struct Args {
   std::string apply_log;                // update: .pgd log to replay
   OrientMode orient = OrientMode::kSym;
   std::vector<SketchKind> kinds;        // build --kinds (empty: just pg.kind)
-  std::optional<SketchKind> route_kind; // --sketch over --snapshot: substrate routing
-  bool exact = false;
-  bool estimator_set = false;
-  bool sketch_kind_set = false;        // --sketch KIND given
-  bool sketch_flags_set = false;       // any sketch-construction flag given
-  bool sketch_param_set = false;       // a non---sketch construction flag given
   ProbGraphConfig pg;
-  double tau = 0.1;
-  unsigned kclique = 5;
-  algo::SimilarityMeasure measure_cluster = algo::SimilarityMeasure::kJaccard;
-  algo::SimilarityMeasure measure_lp = algo::SimilarityMeasure::kCommonNeighbors;
-  engine::EstimateKind kind = engine::EstimateKind::kIntersection;
-  std::vector<engine::VertexPair> pairs;
-  std::uint32_t topk = 10;
 };
 
 using Runner = int (*)(const Args&);
 
+/// What a command's positional arguments are, after the first (its input).
+enum class Positionals {
+  kInput,    // the input only
+  kPort,     // client: <host> <port>
+  kRequest,  // query: the input, then the request words
+};
+
 struct CommandSpec {
   const char* name;
   unsigned allowed;           // OR of the flag bits this command accepts
-  bool positional_is_pgs;     // serve: the positional input is a .pgs path
+  bool positional_is_pgs;     // serve/update: the positional input is a .pgs path
   const char* synopsis;
   Runner run;
-  bool two_positionals = false;  // client: <host> <port>
+  Positionals positionals = Positionals::kInput;
 };
 
-int run_counting(const Args& a);   // tc, 4cc, kclique
-int run_cluster(const Args& a);
-int run_cc(const Args& a);
-int run_pair(const Args& a);
-int run_lp(const Args& a);
-int run_stats(const Args& a);
+int run_query(const Args& a);
 int run_build(const Args& a);
 int run_update(const Args& a);
 int run_serve(const Args& a);
 int run_client(const Args& a);
 
-constexpr unsigned kServingCommon = kSketchFlags | kFSnapshot | kFThreads;
-
 constexpr CommandSpec kCommands[] = {
-    {"tc", kServingCommon, false, "tc <graph>|--snapshot <file.pgs>", run_counting},
-    {"4cc", kServingCommon, false, "4cc <graph>|--snapshot <file.pgs>", run_counting},
-    {"kclique", kServingCommon | kFKClique, false,
-     "kclique <graph>|--snapshot <file.pgs> --k-clique K", run_counting},
-    {"cluster", kServingCommon | kFTau | kFMeasure, false,
-     "cluster <graph>|--snapshot <file.pgs> [--measure M] [--tau T]", run_cluster},
-    {"cc", kServingCommon, false, "cc <graph>|--snapshot <file.pgs>", run_cc},
-    {"pair", kServingCommon | kFPairs | kFKind, false,
-     "pair <graph>|--snapshot <file.pgs> --pairs U:V[,U:V...] [--kind KIND]", run_pair},
-    {"lp", kServingCommon | kFTopK | kFMeasure, false,
-     "lp <graph>|--snapshot <file.pgs> [--topk K] [--measure M]", run_lp},
-    {"stats", kFSnapshot | kFThreads, false, "stats <graph>|--snapshot <file.pgs>",
-     run_stats},
-    {"build", kSketchFlags | kFOutput | kFOrient | kFThreads | kFKinds, false,
-     "build <graph> -o <file.pgs> [--orient [both|dag|sym]] [--kinds bf,kmv,...]",
+    {"query", kConstructionFlags | kFThreads, false,
+     "query <graph|file.pgs> [--threads N] [--estimator E] [--budget S] "
+     "[--bf-hashes B] [--k K] [--seed S] REQUEST...",
+     run_query, Positionals::kRequest},
+    {"build", kFSketch | kConstructionFlags | kFOutput | kFOrient | kFThreads | kFKinds,
+     false, "build <graph> -o <file.pgs> [--orient [both|dag|sym]] [--kinds bf,kmv,...]",
      run_build},
     {"update", kFOutput | kFInserts | kFDeletes | kFApplyLog | kFDeltaLog | kFThreads,
      true,
@@ -304,7 +270,7 @@ constexpr CommandSpec kCommands[] = {
      true,
      "serve <file.pgs> [--listen PORT [--max-conns N] [--transport threads|epoll]] "
      "[--metrics-port P] [--slow-ms N] [--live [--delta-log FILE.pgd]]", run_serve},
-    {"client", 0, false, "client <host> <port>", run_client, true},
+    {"client", 0, false, "client <host> <port>", run_client, Positionals::kPort},
 };
 
 void print_usage(std::FILE* to) {
@@ -314,18 +280,23 @@ void print_usage(std::FILE* to) {
   for (const CommandSpec& c : kCommands) std::fprintf(to, "  pgtool %s\n", c.synopsis);
   std::fprintf(to,
                "options (validated per command):\n"
-               "  [--sketch bf|1h|kh|kmv|exact] [--estimator and|limit|or]\n"
+               "  [--sketch bf|1h|kh|kmv] [--estimator and|limit|or]\n"
                "  [--budget S] [--bf-hashes B] [--k K] [--seed S] [--threads N]\n"
-               "  [--k-clique K] [--tau T]\n"
-               "  [--measure jaccard|overlap|common|total|adamic|resource]\n"
-               "  [--kind intersection|jaccard|overlap|common|total]\n"
-               "  [--pairs U:V[,U:V...]] [--topk K]\n"
-               "build persists the CSR graph plus fully-built sketches; --snapshot\n"
-               "mmaps such a file and serves estimates zero-copy. A snapshot can pack\n"
-               "SEVERAL substrates (--kinds bf,kmv --orient both): counting estimates\n"
-               "(tc, 4cc, kclique) are answered by a DAG substrate, neighborhood\n"
-               "queries (cluster, cc, pair, lp) by a symmetric one, and --sketch KIND\n"
-               "routes to a specific carried kind (default: the file's primary).\n"
+               "query answers ONE request of the serve line protocol — e.g.\n"
+               "'tc', 'tc exact', '4cc kind=kmv', 'kclique 5', 'cc',\n"
+               "'cluster jaccard 0.1', 'pair jaccard 0 1 2 3', 'lp 10 common',\n"
+               "'stats' — and prints exactly the reply line serve would send for\n"
+               "it (exit 1 on an err reply); timing, sketch and bound details go\n"
+               "to stderr. Its input is a .pgs snapshot (mmap'ed, served\n"
+               "zero-copy; construction flags do not apply) or a graph sketched in\n"
+               "memory with the construction flags, building only the substrate\n"
+               "the request reads (its kind=, default bf).\n"
+               "build persists the CSR graph plus fully-built sketches. A snapshot\n"
+               "can pack SEVERAL substrates (--kinds bf,kmv --orient both): counting\n"
+               "estimates (tc, 4cc, kclique) are answered by a DAG substrate,\n"
+               "neighborhood queries (cluster, cc, pair, lp) by a symmetric one, and\n"
+               "a request's kind=KIND routes to a specific carried kind (default:\n"
+               "the file's primary).\n"
                "serve maps the snapshot once and answers one query per line (send\n"
                "'help' on the session for the request grammar) — over stdin, or as a\n"
                "concurrent TCP server with --listen PORT (127.0.0.1; PORT 0 picks an\n"
@@ -352,8 +323,7 @@ void print_usage(std::FILE* to) {
 
 // --- Strict numeric parsing: the whole token must be consumed, and a
 // --- floating value must be finite — std::from_chars accepts "nan" and
-// --- "inf", which would silently poison every threshold/budget downstream
-// --- (e.g. a nan tau makes every similarity comparison false).
+// --- "inf", which would silently poison every threshold/budget downstream.
 
 template <typename T>
 T parse_number(const std::string& flag, std::string_view s) {
@@ -394,24 +364,8 @@ std::vector<SketchKind> parse_kinds(const std::string& spec) {
   return kinds;
 }
 
-std::vector<engine::VertexPair> parse_pairs(const std::string& spec) {
-  std::vector<engine::VertexPair> pairs;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    const std::string_view item(spec.data() + pos, comma - pos);
-    const std::size_t colon = item.find(':');
-    if (colon == std::string_view::npos) {
-      fail("--pairs entries must be U:V, got '" + std::string(item) + "'");
-    }
-    engine::VertexPair p;
-    p.u = parse_number<VertexId>("--pairs", item.substr(0, colon));
-    p.v = parse_number<VertexId>("--pairs", item.substr(colon + 1));
-    pairs.push_back(p);
-    pos = comma + 1;
-    if (comma == spec.size()) break;
-  }
-  return pairs;
+bool ends_with(std::string_view s, std::string_view suffix) {
+  return s.size() > suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
 CsrGraph load_graph(const std::string& spec) {
@@ -423,9 +377,7 @@ CsrGraph load_graph(const std::string& spec) {
     }
     return gen::kronecker(scale, ef, 42);
   }
-  if (spec.size() > 4 && spec.substr(spec.size() - 4) == ".mtx") {
-    return io::read_matrix_market(spec);
-  }
+  if (ends_with(spec, ".mtx")) return io::read_matrix_market(spec);
   return io::read_edge_list(spec);
 }
 
@@ -460,13 +412,22 @@ Args parse(int argc, char** argv) {
       orient_inline = token.substr(9);
       token = "--orient";
     }
-    const FlagSpec* flag = token.rfind('-', 0) == 0 ? find_flag(token) : nullptr;
+    // A request word may be a negative number ("cluster jaccard -0.5"): no
+    // flag starts with a digit, so the protocol parser judges those words.
+    const bool request_number =
+        cmd.positionals == Positionals::kRequest && !a.input.empty() && token.size() > 1 &&
+        (std::isdigit(static_cast<unsigned char>(token[1])) != 0 || token[1] == '.');
+    const bool dashed = token.rfind('-', 0) == 0 && !request_number;
+    const FlagSpec* flag = dashed ? find_flag(token) : nullptr;
     if (flag == nullptr) {
-      if (token.rfind('-', 0) == 0) fail("unknown flag '" + token + "'");
+      if (dashed) fail("unknown flag '" + token + "'");
       if (a.input.empty()) {
         a.input = token;
-      } else if (cmd.two_positionals && a.input2.empty()) {
+      } else if (cmd.positionals == Positionals::kPort && a.input2.empty()) {
         a.input2 = token;
+      } else if (cmd.positionals == Positionals::kRequest) {
+        if (!a.request.empty()) a.request += ' ';
+        a.request += token;
       } else {
         fail("unexpected positional argument '" + token + "' (input already given: '" +
              a.input + "')");
@@ -486,67 +447,37 @@ Args parse(int argc, char** argv) {
 
     switch (flag->bit) {
       case kFSketch:
-        a.sketch_flags_set = true;
-        if (value == "exact") {
-          a.exact = true;
-        } else if (const auto kind = parse_sketch_kind(value)) {
+        if (value == "exact") fail("--sketch exact has no sketches to persist");
+        if (const auto kind = parse_sketch_kind(value)) {
           a.pg.kind = *kind;
-          a.sketch_kind_set = true;
         } else {
-          fail("unknown sketch kind '" + value + "' (expected bf, 1h, kh, kmv, or exact)");
+          fail("unknown sketch kind '" + value + "' (expected bf, 1h, kh, or kmv)");
         }
         break;
       case kFEstimator: {
         const auto e = parse_bf_estimator(value);
         if (!e) fail("unknown BF estimator '" + value + "' (expected and, limit, or or)");
         a.pg.bf_estimator = *e;
-        a.estimator_set = true;
-        a.sketch_flags_set = true;
-        a.sketch_param_set = true;
         break;
       }
       case kFBudget:
         a.pg.storage_budget = parse_number<double>(token, value);
-        a.sketch_flags_set = true;
-        a.sketch_param_set = true;
         break;
       case kFBfHashes:
         a.pg.bf_hashes = parse_number<std::uint32_t>(token, value);
-        a.sketch_flags_set = true;
-        a.sketch_param_set = true;
         break;
       case kFK:
         a.pg.minhash_k = parse_number<std::uint32_t>(token, value);
-        a.sketch_flags_set = true;
-        a.sketch_param_set = true;
         break;
       case kFSeed:
         a.pg.seed = parse_number<std::uint64_t>(token, value);
-        a.sketch_flags_set = true;
-        a.sketch_param_set = true;
         break;
-      case kFKClique:
-        a.kclique = parse_number<unsigned>(token, value);
-        break;
-      case kFTau:
-        a.tau = parse_number<double>(token, value);
-        break;
-      case kFMeasure: {
-        const auto m = algo::parse_similarity_measure(value);
-        if (!m) {
-          fail("unknown measure '" + value +
-               "' (expected jaccard, overlap, common, total, adamic, or resource)");
-        }
-        a.measure_cluster = *m;
-        a.measure_lp = *m;
+      case kFThreads: {
+        const int threads = parse_number<int>(token, value);
+        if (threads < 1) fail("--threads must be at least 1");
+        util::set_threads(threads);
         break;
       }
-      case kFThreads:
-        util::set_threads(parse_number<int>(token, value));
-        break;
-      case kFSnapshot:
-        a.snapshot = value;
-        break;
       case kFOutput:
         a.output = value;
         break;
@@ -580,21 +511,6 @@ Args parse(int argc, char** argv) {
       }
       case kFKinds:
         a.kinds = parse_kinds(value);
-        break;
-      case kFPairs:
-        a.pairs = parse_pairs(value);
-        break;
-      case kFKind: {
-        const auto k = engine::parse_estimate_kind(value);
-        if (!k) {
-          fail("unknown estimate kind '" + value +
-               "' (expected intersection, jaccard, overlap, common, or total)");
-        }
-        a.kind = *k;
-        break;
-      }
-      case kFTopK:
-        a.topk = parse_number<std::uint32_t>(token, value);
         break;
       case kFListen:
         a.listen = parse_number<std::uint16_t>(token, value);
@@ -660,209 +576,128 @@ Args parse(int argc, char** argv) {
   if (a.command == "build") {
     if (a.input.empty()) fail("build requires an input <graph>");
     if (a.output.empty()) fail("build requires an output path (-o <file.pgs>)");
-    if (a.exact) fail("--sketch exact has no sketches to persist");
-    if (!a.kinds.empty() && a.sketch_kind_set) {
+    if (!a.kinds.empty() && (seen & kFSketch) != 0) {
       fail("give either --sketch or --kinds, not both");
     }
   } else if (cmd.positional_is_pgs) {
     if (a.input.empty()) fail(a.command + " requires a snapshot path (<file.pgs>)");
-  } else {
-    if (!a.input.empty() && !a.snapshot.empty()) {
-      fail("give either <graph> or --snapshot, not both ('" + a.input + "' and '" +
-           a.snapshot + "')");
+  } else if (a.command == "query") {
+    if (a.input.empty()) fail("query requires an input <graph|file.pgs>");
+    if (ends_with(a.input, ".pgs") && (seen & kConstructionFlags) != 0) {
+      fail("construction flags (--estimator, --budget, --bf-hashes, --k, --seed) do not "
+           "apply to a .pgs input: its sketches come from the file");
     }
-    if (a.input.empty() && a.snapshot.empty()) {
-      fail("missing input: give <graph> or --snapshot <file.pgs>");
-    }
-    if (!a.snapshot.empty() && !a.exact) {
-      // --sketch KIND routes to that substrate of a multi-substrate
-      // snapshot; the remaining sketch-construction flags have nothing to
-      // configure (the file's parameters win) and are warned about.
-      if (a.sketch_kind_set) a.route_kind = a.pg.kind;
-      if (a.sketch_param_set) {
-        std::fprintf(stderr,
-                     "pgtool: warning: sketch flags other than --sketch are ignored "
-                     "with --snapshot; the representation comes from the file\n");
-      }
-    }
-  }
-  if (a.command == "pair" && a.pairs.empty()) {
-    fail("pair requires --pairs U:V[,U:V...]");
-  }
-  if (a.estimator_set && (a.exact || a.pg.kind != SketchKind::kBloomFilter)) {
-    std::fprintf(stderr,
-                 "pgtool: warning: --estimator only applies to --sketch bf; ignored\n");
   }
   return a;
 }
 
-void print_graph_line(const CsrGraph& g) {
-  std::printf("graph: n=%u, m=%llu, d_max=%llu, d_avg=%.1f\n", g.num_vertices(),
-              static_cast<unsigned long long>(g.num_edges()),
-              static_cast<unsigned long long>(g.max_degree()), g.avg_degree());
+void print_graph_line(std::FILE* to, const CsrGraph& g) {
+  std::fprintf(to, "graph: n=%u, m=%llu, d_max=%llu, d_avg=%.1f\n", g.num_vertices(),
+               static_cast<unsigned long long>(g.num_edges()),
+               static_cast<unsigned long long>(g.max_degree()), g.avg_degree());
 }
 
-/// Load the command's input into an Engine, printing the banner lines the
-/// serving commands have always printed (snapshot facts, then the graph).
-/// An in-memory graph is sketched only where the command's query reads:
-/// the DAG for the counting commands, the symmetric graph for the
-/// neighborhood ones, nothing for --exact and stats.
-engine::Engine make_engine(const Args& a) {
-  if (!a.snapshot.empty()) {
+/// The verbs that only mean something inside a serve session.
+bool is_session_verb(std::string_view verb) {
+  for (const char* v : {"help", "metrics", "quit", "exit", "update", "epoch"}) {
+    if (util::iequals(verb, v)) return true;
+  }
+  return false;
+}
+
+/// The Engine a one-shot query runs on, with the input banner on stderr.
+/// A .pgs input is mapped whole. Any other input is sketched in memory
+/// only where `q` reads: its kind= (default bf), on the DAG for the
+/// counting queries and on the symmetric graph for the rest; exact and
+/// stats queries build no sketches.
+engine::Engine open_source(const Args& a, const engine::Query& q) {
+  if (ends_with(a.input, ".pgs")) {
     util::Timer load_timer;
-    engine::Engine e = engine::Engine::from_snapshot(a.snapshot);
+    engine::Engine e = engine::Engine::from_snapshot(a.input);
     const io::SnapshotInfo& info = *e.snapshot_info();
-    std::printf("snapshot: %s, substrates [%s], %.2f MB file, loaded in %.4fs "
-                "(primary construction %.4fs)\n",
-                a.snapshot.c_str(), io::describe_substrates(info.substrates).c_str(),
-                static_cast<double>(info.file_bytes) / 1e6, load_timer.seconds(),
-                info.construction_seconds);
-    print_graph_line(e.graph());
+    std::fprintf(stderr,
+                 "snapshot: %s, substrates [%s], %.2f MB file, loaded in %.4fs "
+                 "(primary construction %.4fs)\n",
+                 a.input.c_str(), io::describe_substrates(info.substrates).c_str(),
+                 static_cast<double>(info.file_bytes) / 1e6, load_timer.seconds(),
+                 info.construction_seconds);
+    print_graph_line(stderr, e.graph());
     return e;
   }
   CsrGraph g = load_graph(a.input);
-  print_graph_line(g);
-  const bool counting = a.command == "tc" || a.command == "4cc" || a.command == "kclique";
+  print_graph_line(stderr, g);
+  const bool counting = std::holds_alternative<engine::TriangleCount>(q) ||
+                        std::holds_alternative<engine::FourCliqueCount>(q) ||
+                        std::holds_alternative<engine::KCliqueCount>(q);
   std::vector<SketchKind> kinds;
-  if (!a.exact && a.command != "stats") kinds.push_back(a.pg.kind);
+  std::visit(
+      [&kinds](const auto& query) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(query)>, engine::GraphStats>) {
+          if (!query.exact) kinds.push_back(query.sketch.value_or(SketchKind::kBloomFilter));
+        }
+      },
+      q);
   return engine::Engine(std::move(g), kinds, /*symmetric=*/!counting,
                         /*degree_oriented=*/counting, a.pg);
 }
 
-/// The bound line shared by the commands that surface one.
-void print_bound(const engine::QueryResult& r) {
-  if (!r.bound) return;
-  std::printf("  deviation bound: P(|est - true| >= %s) <= %s  [%s]\n",
-              engine::format_estimate(r.bound->t).c_str(),
-              engine::format_estimate(r.bound->probability).c_str(), r.bound->name);
+/// One stderr line of what the reply leaves out: query time, the sketch
+/// that answered (or exact), the deviation bound, and for stats the CSR.
+void print_detail(const engine::QueryResult& r) {
+  std::fprintf(stderr, "%s: %.4fs", r.name, r.elapsed_seconds);
+  if (r.stats) {
+    std::fprintf(stderr, ", CSR %.2f MB%s", static_cast<double>(r.stats->csr_bytes) / 1e6,
+                 r.stats->mapped ? " (mmap-served)" : "");
+  } else if (r.exact) {
+    std::fprintf(stderr, ", exact");
+  } else if (r.sketch.used) {
+    std::fprintf(stderr, ", %s/%s sketches, relmem %.2f, construction %.4fs",
+                 to_string(r.sketch.kind), r.sketch.degree_oriented ? "dag" : "sym",
+                 r.sketch.relative_memory, r.sketch.construction_seconds);
+  }
+  if (r.bound) {
+    std::fprintf(stderr, "; deviation bound: P(|est - true| >= %s) <= %s [%s]",
+                 engine::format_estimate(r.bound->t).c_str(),
+                 engine::format_estimate(r.bound->probability).c_str(), r.bound->name);
+  }
+  std::fprintf(stderr, "\n");
 }
 
-int run_counting(const Args& a) {
-  engine::Engine e = make_engine(a);
-  engine::Query q;
-  if (a.command == "tc") {
-    q = engine::TriangleCount{a.exact, a.route_kind};
-  } else if (a.command == "4cc") {
-    q = engine::FourCliqueCount{a.exact, a.route_kind};
-  } else {
-    q = engine::KCliqueCount{a.kclique, a.exact, a.route_kind};
+int run_query(const Args& a) {
+  const std::string_view line = a.request;
+  const std::size_t first = line.find_first_not_of(" \t\r");
+  const std::string_view verb =
+      first == std::string_view::npos
+          ? std::string_view()
+          : line.substr(first, line.find_first_of(" \t\r", first) - first);
+  if (is_session_verb(verb)) {
+    fail("'" + std::string(verb) + "' only works inside a session; use pgtool serve");
   }
-  const engine::QueryResult r = e.run(q);
+  const engine::ParsedRequest req = engine::parse_request(line);
+  if (req.ignored) fail("query requires a REQUEST (e.g. 'tc' or 'pair jaccard 0 1')");
 
-  if (a.command == "tc") {
-    if (r.exact) {
-      std::printf("exact TC = %llu (%.4fs)\n",
-                  static_cast<unsigned long long>(r.value), r.elapsed_seconds);
-    } else {
-      std::printf("%s TC ≈ %.0f (%.4fs, +%.4fs construction, relmem %.2f)\n",
-                  to_string(r.sketch.kind), r.value, r.elapsed_seconds,
-                  r.sketch.construction_seconds, r.sketch.relative_memory);
-      print_bound(r);
+  std::string reply;
+  int status = 1;
+  if (!req.query) {
+    reply = engine::format_error(req.error);
+  } else {
+    const engine::Engine e = open_source(a, *req.query);
+    try {
+      const engine::QueryResult r = e.run(*req.query);
+      reply = engine::format_reply(r, req.report_time);
+      print_detail(r);
+      status = 0;
+    } catch (const std::exception& ex) {
+      reply = engine::format_error(ex.what());
     }
-  } else if (a.command == "4cc") {
-    if (r.exact) {
-      std::printf("exact 4CC = %llu (%.4fs)\n",
-                  static_cast<unsigned long long>(r.value), r.elapsed_seconds);
-    } else {
-      std::printf("%s 4CC ≈ %.0f (%.4fs, relmem %.2f)\n", to_string(r.sketch.kind),
-                  r.value, r.elapsed_seconds, r.sketch.relative_memory);
-    }
-  } else {
-    if (r.exact) {
-      std::printf("exact %u-clique count = %llu (%.4fs)\n", a.kclique,
-                  static_cast<unsigned long long>(r.value), r.elapsed_seconds);
-    } else {
-      std::printf("%s %u-clique count ≈ %.0f (%.4fs, relmem %.2f)\n",
-                  to_string(r.sketch.kind), a.kclique, r.value, r.elapsed_seconds,
-                  r.sketch.relative_memory);
-    }
   }
-  return 0;
-}
-
-int run_cluster(const Args& a) {
-  engine::Engine e = make_engine(a);
-  const engine::QueryResult r =
-      e.run(engine::Cluster{a.measure_cluster, a.tau, a.exact, a.route_kind});
-  if (r.exact) {
-    std::printf("exact clustering: %zu clusters, %llu kept edges, %.4fs\n",
-                r.cluster->num_clusters,
-                static_cast<unsigned long long>(r.cluster->kept_edges),
-                r.elapsed_seconds);
-  } else {
-    std::printf("%s clustering: %zu clusters, %llu kept edges, %.4fs "
-                "(+%.4fs sketch construction, relmem %.2f)\n",
-                to_string(r.sketch.kind), r.cluster->num_clusters,
-                static_cast<unsigned long long>(r.cluster->kept_edges),
-                r.elapsed_seconds, r.sketch.construction_seconds,
-                r.sketch.relative_memory);
-  }
-  return 0;
-}
-
-int run_cc(const Args& a) {
-  engine::Engine e = make_engine(a);
-  const engine::QueryResult r = e.run(engine::ClusteringCoeff{a.exact, a.route_kind});
-  if (r.exact) {
-    std::printf("exact global clustering coefficient = %s (%.4fs)\n",
-                engine::format_estimate(r.value).c_str(), r.elapsed_seconds);
-  } else {
-    std::printf("%s global clustering coefficient = %s (%.4fs, +%.4fs construction, "
-                "relmem %.2f)\n",
-                to_string(r.sketch.kind), engine::format_estimate(r.value).c_str(),
-                r.elapsed_seconds, r.sketch.construction_seconds,
-                r.sketch.relative_memory);
-    print_bound(r);
-  }
-  return 0;
-}
-
-int run_pair(const Args& a) {
-  engine::Engine e = make_engine(a);
-  const engine::QueryResult r =
-      e.run(engine::PairEstimate{a.kind, a.pairs, a.exact, a.route_kind});
-  const char* scheme = r.exact ? "exact" : to_string(r.sketch.kind);
-  for (const engine::PairValue& p : r.pairs) {
-    std::printf("%s %s(%u, %u) = %s\n", scheme, engine::to_string(a.kind), p.u, p.v,
-                engine::format_estimate(p.value).c_str());
-  }
-  print_bound(r);
-  std::printf("scored %zu pair%s in %.4fs\n", r.pairs.size(),
-              r.pairs.size() == 1 ? "" : "s", r.elapsed_seconds);
-  return 0;
-}
-
-int run_lp(const Args& a) {
-  engine::Engine e = make_engine(a);
-  const engine::QueryResult r =
-      e.run(engine::LinkPredict{a.topk, a.measure_lp, a.exact, a.route_kind});
-  std::printf("%s top-%u predicted links by %s:\n",
-              r.exact ? "exact" : to_string(r.sketch.kind), a.topk,
-              to_string(a.measure_lp));
-  for (const engine::PairValue& p : r.pairs) {
-    std::printf("  %u %u %s\n", p.u, p.v, engine::format_estimate(p.value).c_str());
-  }
-  std::printf("%zu candidate link%s in %.4fs\n", r.pairs.size(),
-              r.pairs.size() == 1 ? "" : "s", r.elapsed_seconds);
-  return 0;
-}
-
-int run_stats(const Args& a) {
-  engine::Engine e = make_engine(a);
-  const engine::QueryResult r = e.run(engine::GraphStats{});
-  std::printf("degree moments: sum d^2 = %.3e, sum d^3 = %.3e\n",
-              r.stats->degree_moment2, r.stats->degree_moment3);
-  std::printf("CSR memory: %.2f MB%s\n", static_cast<double>(r.stats->csr_bytes) / 1e6,
-              r.stats->mapped ? " (mmap-served)" : "");
-  if (const io::SnapshotInfo* info = e.snapshot_info()) {
-    std::printf("substrates: %s\n", io::describe_substrates(info->substrates).c_str());
-  }
-  return 0;
+  std::printf("%s\n", reply.c_str());
+  return status;
 }
 
 int run_build(const Args& a) {
   const CsrGraph g = load_graph(a.input);
-  print_graph_line(g);
+  print_graph_line(stdout, g);
 
   // One substrate per (kind, orientation), kind-major with the symmetric
   // orientation first — so the FIRST listed kind's symmetric sketches (or
