@@ -1,8 +1,10 @@
 #include "engine/protocol.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "net/line_scanner.hpp"
@@ -176,8 +178,10 @@ ParsedRequest parse_request(std::string_view line) {
     for (std::size_t i = 0; i < tokens.size(); i += 2) {
       VertexId u = 0;
       VertexId v = 0;
-      if (!parse_unsigned(tokens[i], u) || !parse_unsigned(tokens[i + 1], v)) {
-        return make_error("update vertex ids must be non-negative integers (got '" +
+      // VertexId's max has no vertex count: GraphBuilder rejects it at seal.
+      if (!parse_unsigned(tokens[i], u) || !parse_unsigned(tokens[i + 1], v) ||
+          std::max(u, v) == std::numeric_limits<VertexId>::max()) {
+        return make_error("update vertex ids must be integers in [0, 4294967295) (got '" +
                           std::string(tokens[i]) + " " + std::string(tokens[i + 1]) +
                           "')");
       }

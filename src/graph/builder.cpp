@@ -3,17 +3,20 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 namespace probgraph {
 
 namespace {
 
 VertexId infer_num_vertices(const std::vector<Edge>& edges, VertexId requested) {
-  VertexId n = requested;
-  for (const auto& [u, v] : edges) {
-    n = std::max({n, static_cast<VertexId>(u + 1), static_cast<VertexId>(v + 1)});
+  VertexId max_id = 0;
+  for (const auto& [u, v] : edges) max_id = std::max({max_id, u, v});
+  // VertexId's max has no `id + 1` vertex count.
+  if (max_id == std::numeric_limits<VertexId>::max()) {
+    throw std::invalid_argument("GraphBuilder: vertex id 4294967295 is out of range");
   }
-  return n;
+  return edges.empty() ? requested : std::max(requested, max_id + 1);
 }
 
 /// Shared tail of both build paths: arcs must already contain every directed

@@ -22,7 +22,9 @@ class GraphBuilder {
  public:
   /// Build a simple undirected CSR graph (symmetric adjacency, no
   /// self-loops, no duplicates) from an arbitrary edge list.
-  /// `num_vertices` of 0 means "infer from the maximum endpoint + 1".
+  /// `num_vertices` of 0 means "infer from the maximum endpoint + 1". An
+  /// endpoint of std::numeric_limits<VertexId>::max() throws
+  /// std::invalid_argument (no count covers it); so does from_arcs.
   static CsrGraph from_edges(std::vector<Edge> edges, VertexId num_vertices = 0);
 
   /// Build a *directed* CSR from directed arcs (used for the N+ DAG and by

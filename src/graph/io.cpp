@@ -1,55 +1,143 @@
 #include "graph/io.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <memory>
+#include <span>
 #include <stdexcept>
-
-#include "graph/builder.hpp"
 
 namespace probgraph::io {
 
 namespace {
 
-std::ifstream open_or_throw(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open graph file: " + path);
-  return in;
+/// Ids must stay below this and counts must not exceed it.
+constexpr std::uint64_t kIdLimit = std::numeric_limits<VertexId>::max();
+
+const char* skip_blanks(const char* p, const char* end) {
+  while (p != end && (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\v' || *p == '\f')) ++p;
+  return p;
+}
+
+bool is_comment(std::string_view line) {
+  const char* p = skip_blanks(line.data(), line.data() + line.size());
+  return p == line.data() + line.size() || *p == '#' || *p == '%';
+}
+
+/// Fill `out` with the blank-separated decimal numbers `line` starts with;
+/// text after the last one is ignored. False if malformed. A number past
+/// 64 bits reads as UINT64_MAX, which every range check rejects.
+bool read_numbers(std::string_view line, std::span<std::uint64_t> out) {
+  const char* p = line.data();
+  const char* end = p + line.size();
+  for (std::uint64_t& x : out) {
+    const char* q = skip_blanks(p, end);
+    if (q == p && &x != out.data()) return false;
+    const auto [next, ec] = std::from_chars(q, end, x);
+    if (ec == std::errc::result_out_of_range) {
+      x = std::numeric_limits<std::uint64_t>::max();
+    } else if (ec != std::errc{}) {
+      return false;
+    }
+    p = next;
+  }
+  return true;
+}
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+std::string read_whole_file(const std::string& path) {
+  const std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "rb"));
+  if (!f) throw std::runtime_error("cannot open graph file: " + path);
+  std::string text;
+  std::size_t used = 0;
+  while (used == text.size()) {  // fread stops short only at EOF or an error
+    text.resize(std::max<std::size_t>(2 * text.size(), 1 << 20));
+    used += std::fread(text.data() + used, 1, text.size() - used, f.get());
+  }
+  if (std::ferror(f.get()) != 0) throw std::runtime_error("cannot read graph file: " + path);
+  text.resize(used);
+  return text;
 }
 
 }  // namespace
 
-CsrGraph read_edge_list(const std::string& path) {
-  std::ifstream in = open_or_throw(path);
-  std::vector<Edge> edges;
-  std::string line;
-  VertexId declared_n = 0;
+EdgeText scan_edge_text(std::string_view text, TextFormat format, const std::string& name) {
+  const bool mm = format == TextFormat::kMatrixMarket;
+  EdgeText out;
+  std::string_view line;
   std::size_t lineno = 0;
-  while (std::getline(in, line)) {
+  std::size_t pos = 0;
+  const auto next_line = [&] {
+    if (pos == text.size()) return false;
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());  // memchr
+    line = text.substr(pos, eol - pos);
+    pos = std::min(eol + 1, text.size());
     ++lineno;
-    if (line.empty() || line[0] == '#' || line[0] == '%') {
-      // Honor vertex counts declared in comments so that trailing isolated
-      // vertices survive a round trip. Recognized: our own "n=<count>"
-      // header and the SNAP convention "# Nodes: <count> Edges: ...".
-      for (const std::string& tag : {std::string("n="), std::string("Nodes: ")}) {
-        const auto pos = line.find(tag);
-        if (pos != std::string::npos) {
-          declared_n = std::max(
-              declared_n, static_cast<VertexId>(std::strtoull(
-                              line.c_str() + pos + tag.size(), nullptr, 10)));
+    return true;
+  };
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error(what + " at " + name + ":" + std::to_string(lineno) + ": " +
+                             std::string(line));
+  };
+  const auto checked_count = [&](std::uint64_t n) {
+    if (n > kIdLimit) fail("vertex count out of range");
+    return static_cast<VertexId>(n);
+  };
+
+  if (mm) {
+    if (!next_line() || !line.starts_with("%%MatrixMarket")) {
+      throw std::runtime_error("not a MatrixMarket file: " + name);
+    }
+    while (next_line() && is_comment(line)) {
+    }
+    std::array<std::uint64_t, 3> size{};  // rows, cols, nnz
+    if (!read_numbers(line, size)) fail("malformed MatrixMarket size line");
+    out.declared_n = checked_count(std::max(size[0], size[1]));
+    // nnz is untrusted: an entry takes at least 4 bytes ("1 1\n").
+    out.edges.reserve(std::min<std::uint64_t>(size[2], (text.size() - pos + 1) / 4));
+  }
+  std::array<std::uint64_t, 2> uv{};
+  while (next_line()) {
+    if (is_comment(line)) {
+      for (const std::string_view tag : {"n=", "Nodes: "}) {  // edge-list count tags
+        std::array<std::uint64_t, 1> n{};
+        const std::size_t at = line.find(tag);
+        if (!mm && at != std::string_view::npos && read_numbers(line.substr(at + tag.size()), n)) {
+          out.declared_n = std::max(out.declared_n, checked_count(n[0]));
         }
       }
       continue;
     }
-    std::istringstream ls(line);
-    std::uint64_t u = 0, v = 0;
-    if (!(ls >> u >> v)) {
-      throw std::runtime_error("malformed edge-list line at " + path + ":" +
-                               std::to_string(lineno) + ": " + line);
+    if (!read_numbers(line, uv)) {
+      fail(mm ? "malformed MatrixMarket entry" : "malformed edge-list line");
     }
-    edges.emplace_back(static_cast<VertexId>(u), static_cast<VertexId>(v));
+    if (mm) {
+      if (uv[0] == 0 || uv[1] == 0) fail("MatrixMarket indices must be 1-based");
+      --uv[0];
+      --uv[1];
+    }
+    if (uv[0] >= kIdLimit || uv[1] >= kIdLimit) {
+      fail("vertex id out of range (ids must be below 4294967295)");
+    }
+    out.edges.emplace_back(static_cast<VertexId>(uv[0]), static_cast<VertexId>(uv[1]));
   }
-  return GraphBuilder::from_edges(std::move(edges), declared_n);
+  return out;
+}
+
+EdgeText read_edge_text(const std::string& path, TextFormat format) {
+  return scan_edge_text(read_whole_file(path), format, path);
+}
+
+CsrGraph read_edge_list(const std::string& path) {
+  EdgeText t = read_edge_text(path, TextFormat::kEdgeList);
+  return GraphBuilder::from_edges(std::move(t.edges), t.declared_n);
 }
 
 void write_edge_list(const CsrGraph& g, const std::string& path) {
@@ -64,42 +152,8 @@ void write_edge_list(const CsrGraph& g, const std::string& path) {
 }
 
 CsrGraph read_matrix_market(const std::string& path) {
-  std::ifstream in = open_or_throw(path);
-  std::string line;
-  std::size_t lineno = 1;
-  if (!std::getline(in, line) || line.rfind("%%MatrixMarket", 0) != 0) {
-    throw std::runtime_error("not a MatrixMarket file: " + path);
-  }
-  // Skip comment lines, then read the size line.
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (!line.empty() && line[0] != '%') break;
-  }
-  std::istringstream hs(line);
-  std::uint64_t rows = 0, cols = 0, nnz = 0;
-  if (!(hs >> rows >> cols >> nnz)) {
-    throw std::runtime_error("malformed MatrixMarket size line at " + path + ":" +
-                             std::to_string(lineno));
-  }
-  std::vector<Edge> edges;
-  edges.reserve(nnz);
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '%') continue;
-    std::istringstream ls(line);
-    std::uint64_t r = 0, c = 0;
-    if (!(ls >> r >> c)) {
-      throw std::runtime_error("malformed MatrixMarket entry at " + path + ":" +
-                               std::to_string(lineno) + ": " + line);
-    }
-    if (r == 0 || c == 0) {
-      throw std::runtime_error("MatrixMarket indices must be 1-based at " + path + ":" +
-                               std::to_string(lineno) + ": " + line);
-    }
-    edges.emplace_back(static_cast<VertexId>(r - 1), static_cast<VertexId>(c - 1));
-  }
-  return GraphBuilder::from_edges(std::move(edges),
-                                  static_cast<VertexId>(std::max(rows, cols)));
+  EdgeText t = read_edge_text(path, TextFormat::kMatrixMarket);
+  return GraphBuilder::from_edges(std::move(t.edges), t.declared_n);
 }
 
 }  // namespace probgraph::io

@@ -1,7 +1,9 @@
 #include "live/apply.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -135,16 +137,20 @@ UpdatedSnapshot apply_batch(const io::Snapshot& snap, const DeltaBatch& batch) {
   }
 
   // Vertices never disappear (sketch slots for isolated vertices stay
-  // empty); the count can only grow, via inserted endpoints.
-  VertexId new_n = old_n;
+  // empty); the count can only grow, via inserted endpoints. It is
+  // counted in 64 bits: an inserted id of VertexId's max has no count.
+  std::uint64_t new_n = old_n;
   for (const auto& [u, v] : inserts) {
-    new_n = std::max<VertexId>(new_n, std::max(u, v) + 1);
+    new_n = std::max<std::uint64_t>(new_n, std::uint64_t{std::max(u, v)} + 1);
   }
   if (new_n == 0) throw std::invalid_argument("apply_batch: empty graph");
+  if (new_n > std::numeric_limits<VertexId>::max()) {
+    throw std::invalid_argument("apply_batch: vertex id 4294967295 is out of range");
+  }
 
   // --- New graphs. ---
   out.sym = std::make_unique<const CsrGraph>(
-      GraphBuilder::from_edges(std::move(new_edges), new_n));
+      GraphBuilder::from_edges(std::move(new_edges), static_cast<VertexId>(new_n)));
   if (old_dag != nullptr) {
     out.dag = std::make_unique<const CsrGraph>(degree_orient(*out.sym));
   }

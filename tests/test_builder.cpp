@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace probgraph {
 namespace {
 
@@ -48,6 +51,14 @@ TEST(GraphBuilder, EmptyEdgeList) {
   const CsrGraph g = GraphBuilder::from_edges({}, 4);
   EXPECT_EQ(g.num_vertices(), 4u);
   EXPECT_EQ(g.num_edges(), 0u);
+}
+
+TEST(GraphBuilder, MaxVertexIdThrows) {
+  // No VertexId count covers id max(): `id + 1` would wrap to 0.
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  EXPECT_THROW(GraphBuilder::from_edges({{0, 1}, {kMax, 1}}), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder::from_edges({{1, kMax}}, 10), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder::from_arcs({{kMax, 0}}), std::invalid_argument);
 }
 
 TEST(GraphBuilder, FromArcsKeepsDirection) {

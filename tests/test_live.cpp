@@ -12,7 +12,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -339,6 +341,17 @@ TEST(ApplyBatch, InsertsGrowTheVertexSet) {
   EXPECT_EQ(updated.sym->num_vertices(), 42u);
 
   expect_apply_matches_cold(updated, edit_edges(golden_edges(), batch), 42);
+}
+
+TEST(ApplyBatch, MaxVertexIdIsRejected) {
+  // VertexId's max has no vertex count: the new count must not wrap to 0.
+  TempPath snap_path(".pgs");
+  build_full_snapshot(snap_path.str());
+  const io::Snapshot snap = io::load_snapshot(snap_path.str());
+
+  live::DeltaBatch batch;
+  batch.inserts = {{std::numeric_limits<VertexId>::max(), 1}};
+  EXPECT_THROW((void)live::apply_batch(snap, batch), std::invalid_argument);
 }
 
 TEST(ApplyBatch, ParameterShiftFallsBackColdAndStaysIdentical) {

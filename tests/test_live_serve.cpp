@@ -231,6 +231,24 @@ TEST(LiveServe, UpdateVerbsStageAndSealOverTheEpollTransport) {
             cold_transcript(edit_edges(golden_edges(), batch), 32, script));
 }
 
+TEST(LiveServe, UpdateRejectsTheMaxVertexIdAndKeepsAnswering) {
+  // 4294967295 has no vertex count; staging it once crashed the seal.
+  LiveServerFixture f;
+  const std::string transcript = run_scripted_session(
+      f.server->port(), "update insert 4294967295 1\nupdate seal\nepoch\nstats\nquit\n");
+  std::istringstream lines(transcript);
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line.rfind("err\t", 0), 0u) << line;
+  EXPECT_NE(line.find("4294967295"), std::string::npos) << line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "ok\tupdate\tnoop\tgeneration=1");
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "ok\tepoch\tgeneration=1\tpending_inserts=0\tpending_deletes=0");
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line.rfind("ok\tstats\t", 0), 0u) << line;
+}
+
 TEST(LiveServe, StaticServerRejectsUpdateVerbs) {
   engine::Engine eng = engine::Engine::from_snapshot(data_path("golden.pgs"));
   net::ServeOptions opts;

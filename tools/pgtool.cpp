@@ -110,8 +110,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <charconv>
-#include <fstream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -730,31 +728,6 @@ int run_build(const Args& a) {
   return 0;
 }
 
-/// Raw "U V" edge pairs for `update` — NOT io::read_edge_list, which builds
-/// a normalized CsrGraph; a change batch keeps the pairs as written (the
-/// apply layer owns normalization, live/apply.hpp).
-std::vector<Edge> read_edge_pairs(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail("cannot open edge file '" + path + "'");
-  std::vector<Edge> edges;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#' || line[first] == '%') continue;
-    unsigned long long u = 0;
-    unsigned long long v = 0;
-    if (std::sscanf(line.c_str(), "%llu %llu", &u, &v) != 2 ||
-        u > std::numeric_limits<VertexId>::max() ||
-        v > std::numeric_limits<VertexId>::max()) {
-      fail(path + ":" + std::to_string(lineno) + ": expected 'U V' vertex ids");
-    }
-    edges.push_back({static_cast<VertexId>(u), static_cast<VertexId>(v)});
-  }
-  return edges;
-}
-
 int run_update(const Args& a) {
   const io::Snapshot snap = io::load_snapshot(a.input);
   const io::SnapshotInfo& info = snap.info();
@@ -767,8 +740,12 @@ int run_update(const Args& a) {
   std::vector<live::DeltaBatch> batches;
   if (!a.apply_log.empty()) batches = live::read_delta_log(a.apply_log);
   live::DeltaBatch file_batch;
-  if (!a.inserts_path.empty()) file_batch.inserts = read_edge_pairs(a.inserts_path);
-  if (!a.deletes_path.empty()) file_batch.deletes = read_edge_pairs(a.deletes_path);
+  // The pairs as written: the apply layer owns normalization (live/apply.hpp).
+  const auto read_pairs = [](const std::string& path) {
+    return io::read_edge_text(path, io::TextFormat::kEdgeList).edges;
+  };
+  if (!a.inserts_path.empty()) file_batch.inserts = read_pairs(a.inserts_path);
+  if (!a.deletes_path.empty()) file_batch.deletes = read_pairs(a.deletes_path);
   if (!file_batch.empty()) batches.push_back(std::move(file_batch));
 
   // Fold the sequence into ONE net batch relative to the base snapshot:
